@@ -1,33 +1,3 @@
 """Expertise allocation over author-paper-topic networks."""
 
-from .dynamic import (
-    DhaYearInput,
-    ExpertiseStore,
-    dha_author_year,
-    dha_paper,
-    run_series,
-    run_year_bl,
-    run_year_dha,
-)
-from .ledger import Timeline, YearLedger, build_incidence, materialize_year
-from .nodes import NodeRef, NodeStore, NodeType
-from .similarity import (
-    MetaPath,
-    PaperNetwork,
-    baseline_similarity,
-    hetealloc,
-    hetealloc_ha1,
-    hetealloc_ha2,
-    hetealloc_ha3,
-    hetesim_author_mesh,
-    hetesim_normalized,
-    reachable_probability,
-    subset_ha1,
-    subset_ha2,
-    subset_ha3,
-    transition_matrix,
-    weighted_incidence,
-)
-from .sparse import SparseIncidence, SparseVector
-
 __version__ = "0.1.0"

@@ -10,11 +10,12 @@ import argparse
 import json
 import os
 import sys
+import tempfile
 from dataclasses import dataclass
 from pathlib import Path
 
 from . import dynamic, metrics
-from .ingest import DataFormatError, load_dataset, read_link_file
+from .ingest import DataFormatError, load_dataset, read_link_file, read_utf8
 from .ledger import LedgerError
 from .meshtree import MeshFormatError
 from .similarity import AGGREGATIONS, AVERAGE, PaperNetwork
@@ -38,7 +39,6 @@ class RunConfig:
     aggregation: str
     first_year: int
     last_year: int
-    threads: int
 
     def validate(self) -> None:
         if self.method not in METHODS:
@@ -49,8 +49,6 @@ class RunConfig:
             raise UsageError("--weighted is invalid with --method bl")
         if self.first_year > self.last_year:
             raise UsageError(f"empty year range {self.first_year}:{self.last_year}")
-        if self.threads < 1:
-            raise UsageError("--threads must be at least 1")
 
 
 def _parse_years(text: str) -> tuple[int, int]:
@@ -65,10 +63,28 @@ def _sig6(value: float) -> float:
     return float(f"{value:.6g}")
 
 
+def _out_dir(text: str) -> Path:
+    out_dir = Path(text)
+    try:
+        out_dir.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        raise UsageError(f"--out {text!r} is not a usable directory: {exc.strerror}") from None
+    return out_dir
+
+
 def _atomic_write(path: Path, text: str) -> None:
-    tmp = path.with_name(path.name + ".tmp")
-    tmp.write_text(text, encoding="utf-8")
-    os.replace(tmp, path)
+    """Write through a temp file unique to this call, so concurrent runs never share one."""
+    fd, tmp = tempfile.mkstemp(dir=path.parent, prefix=path.name + ".", suffix=".tmp")
+    try:
+        umask = os.umask(0)
+        os.umask(umask)
+        os.fchmod(fd, 0o666 & ~umask)  # the mode a plain open() would give
+        with os.fdopen(fd, "w", encoding="utf-8") as handle:
+            handle.write(text)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _snapshot_lines(snapshots: dict[int, dict[str, dict[str, float]]]) -> str:
@@ -87,7 +103,7 @@ def _snapshot_lines(snapshots: dict[int, dict[str, dict[str, float]]]) -> str:
 
 def _read_snapshots(path: Path) -> dict[int, dict[str, dict[str, float]]]:
     snapshots: dict[int, dict[str, dict[str, float]]] = {}
-    text = path.read_text(encoding="utf-8")
+    text = read_utf8(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
             continue
@@ -106,9 +122,7 @@ def cmd_ingest(args) -> int:
     dataset = load_dataset(args.links, args.mesh, args.taxonomy)
     text = json.dumps(dataset.manifest, indent=2, sort_keys=True)
     if args.out:
-        out_dir = Path(args.out)
-        out_dir.mkdir(parents=True, exist_ok=True)
-        _atomic_write(out_dir / "manifest.json", text + "\n")
+        _atomic_write(_out_dir(args.out) / "manifest.json", text + "\n")
     print(text)
     return 0
 
@@ -166,7 +180,6 @@ def cmd_run(args) -> int:
         aggregation=args.agg,
         first_year=first_year,
         last_year=last_year,
-        threads=args.threads if args.threads else os.cpu_count() or 1,
     )
     config.validate()
     dataset = load_dataset(args.links, args.mesh, args.taxonomy)
@@ -176,7 +189,6 @@ def cmd_run(args) -> int:
             config.method,
             dataset.timeline,
             last_year=config.last_year,
-            threads=config.threads,
             weighted=config.weighted,
         )
         snapshots = {
@@ -192,9 +204,7 @@ def cmd_run(args) -> int:
         name += "_weighted"
     if config.method == "ha3":
         name += f"_{config.aggregation}"
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    out_path = out_dir / f"{name}.jsonl"
+    out_path = _out_dir(args.out) / f"{name}.jsonl"
     _atomic_write(out_path, _snapshot_lines(snapshots))
     print(out_path)
     return 0
@@ -242,8 +252,7 @@ def cmd_compare(args) -> int:
 
     by_method = {label_a: snaps_a, label_b: snaps_b}
     rows = metrics.yearly_summary(by_method, counts, years, threshold=args.min_papers)
-    out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
+    out_dir = _out_dir(args.out)
     summary = metrics.format_summary_table(rows, (label_a, label_b))
     _atomic_write(out_dir / "summary.tsv", summary)
 
@@ -277,7 +286,6 @@ def build_parser() -> _Parser:
     p_run.add_argument("--links", required=True)
     p_run.add_argument("--mesh", required=True)
     p_run.add_argument("--taxonomy", required=True)
-    p_run.add_argument("--threads", type=int, default=0, help="0 = all cores")
     p_run.add_argument("--out", default=".")
     p_run.set_defaults(func=cmd_run)
 

@@ -16,7 +16,6 @@ frozen once per year, which makes results independent of processing order.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from .ledger import PaperKey, Timeline, YearLedger, materialize_year
@@ -132,32 +131,19 @@ def dha_author_year(inp: DhaYearInput, a: int, weighted: bool = False) -> dict[i
 
 
 def run_year_dha(
-    store: ExpertiseStore,
-    ledger: YearLedger,
-    threads: int = 1,
-    weighted: bool = False,
+    store: ExpertiseStore, ledger: YearLedger, weighted: bool = False
 ) -> ExpertiseStore:
     """Apply one year of dynamic allocation and fold the year into experience.
 
     Every author of the year is evaluated against the same frozen experience
     matrix; increments are applied in a fixed order, so the outcome does not
-    depend on thread count or link order.
+    depend on link order.
     """
     store.check_year(ledger.year)
     inp = DhaYearInput.from_ledger(ledger)
-    active = sorted(a for a, cells in inp.m_update.rows.items() if cells)
-
-    def compute(a: int) -> tuple[int, dict[int, float]]:
-        return a, dha_author_year(inp, a, weighted)
-
-    if threads > 1 and len(active) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = list(pool.map(compute, active))
-    else:
-        results = [compute(a) for a in active]
-
     increments: dict[str, dict[str, float]] = {}
-    for a, per_mesh in results:
+    for a in sorted(a for a, cells in inp.m_update.rows.items() if cells):
+        per_mesh = dha_author_year(inp, a, weighted)
         label = inp.store.authors.label_of(a)
         increments[label] = {
             inp.store.meshes.label_of(m): inc for m, inc in sorted(per_mesh.items())
@@ -193,7 +179,6 @@ def run_series(
     method: str,
     timeline: Timeline,
     last_year: int | None = None,
-    threads: int = 1,
     weighted: bool = False,
 ) -> tuple[ExpertiseStore, dict[int, dict[str, int]]]:
     """Drive a dynamic method over consecutive years of a timeline.
@@ -217,7 +202,7 @@ def run_series(
     for year in range(start, stop + 1):
         ledger = timeline.ledger_for(year, experience)
         if method == "dha":
-            run_year_dha(store, ledger, threads=threads, weighted=weighted)
+            run_year_dha(store, ledger, weighted=weighted)
         else:
             run_year_bl(store, ledger)
         experience = ledger.experience_links

@@ -29,8 +29,18 @@ class DataFormatError(ValueError):
         super().__init__(f"{where}: {message}")
 
 
+def read_utf8(path: str | Path) -> str:
+    """A file's text; a byte that is not UTF-8 is a data error at its line."""
+    data = Path(path).read_bytes()
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        line_no = data.count(b"\n", 0, exc.start) + 1
+        raise DataFormatError(path, line_no, f"not valid UTF-8: byte 0x{data[exc.start]:02x}") from None
+
+
 def _data_lines(path: str | Path):
-    text = Path(path).read_text(encoding="utf-8")
+    text = read_utf8(path)
     for line_no, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("#"):
@@ -71,7 +81,7 @@ def read_paper_mesh_file(path: str | Path) -> list[tuple[str, str]]:
 
 
 def read_taxonomy_file(path: str | Path) -> ParsedMeshTable:
-    return parse_mesh_table(Path(path).read_text(encoding="utf-8"))
+    return parse_mesh_table(read_utf8(path))
 
 
 @dataclass

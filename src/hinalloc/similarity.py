@@ -190,9 +190,6 @@ def baseline_similarity(a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncid
     return math.sqrt(count_m / total)
 
 
-METHODS = ("bl", "hetesim", "ha1", "ha2", "ha3")
-
-
 @dataclass
 class PaperNetwork:
     """A static author-paper-category network with label-level accessors."""

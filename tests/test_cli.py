@@ -134,15 +134,67 @@ def test_run_usage_errors(corpus, capsys):
     assert main(["run", "--method", "bl", "--years", "5:1", *_args(corpus)]) == 1
     assert main(["run", "--method", "bl", "--years", "abc", *_args(corpus)]) == 1
     assert main(["run", "--method", "bl"]) == 1  # missing required flags
+    capsys.readouterr()
+    assert main(["run", "--method", "dha", "--years", "1:2", *_args(corpus), "--threads", "4"]) == 1
+    assert capsys.readouterr().err.startswith("usage error:")
 
 
-def test_run_is_deterministic_across_threads(corpus, tmp_path):
+def test_run_is_deterministic_across_link_order(corpus, tmp_path):
+    lines = Path(corpus["links"]).read_text().splitlines()
+    reversed_links = tmp_path / "reversed_links.tsv"
+    reversed_links.write_text("\n".join(reversed(lines)) + "\n")
     out1, out2 = tmp_path / "o1", tmp_path / "o2"
-    main(["run", "--method", "dha", "--years", "1:10", *_args(corpus),
-          "--threads", "1", "--out", str(out1)])
-    main(["run", "--method", "dha", "--years", "1:10", *_args(corpus),
-          "--threads", "4", "--out", str(out2)])
+    assert main(["run", "--method", "dha", "--years", "1:10", *_args(corpus),
+                 "--out", str(out1)]) == 0
+    assert main(["run", "--method", "dha", "--years", "1:10", "--links", str(reversed_links),
+                 "--mesh", corpus["mesh"], "--taxonomy", corpus["taxonomy"],
+                 "--out", str(out2)]) == 0
     assert (out1 / "dha.jsonl").read_bytes() == (out2 / "dha.jsonl").read_bytes()
+
+
+def test_run_leaves_another_runs_temp_file_alone(corpus, tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    (out / "bl.jsonl.tmp").write_text("other")
+    assert main(["run", "--method", "bl", "--years", "1:10", *_args(corpus), "--out", str(out)]) == 0
+    assert (out / "bl.jsonl.tmp").read_text() == "other"
+    assert _snapshots(out / "bl.jsonl")[10]
+
+
+@pytest.mark.parametrize("which", ["links", "mesh", "taxonomy"])
+def test_non_utf8_input_is_a_data_error_with_its_line(corpus, tmp_path, capsys, which):
+    bad = tmp_path / f"bad_{which}.tsv"
+    bad.write_bytes(Path(corpus[which]).read_bytes() + b"\xff\n")
+    n_lines = bad.read_bytes().count(b"\n")
+    args = dict(corpus, **{which: str(bad)})
+    rc = main(["run", "--method", "bl", "--years", "1:10", *_args(args),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{n_lines}: not valid UTF-8" in err
+    assert "Traceback" not in err
+
+
+def test_non_utf8_snapshot_is_a_data_error_with_its_line(corpus, tmp_path, capsys):
+    out = tmp_path / "out"
+    main(["run", "--method", "bl", "--years", "1:10", *_args(corpus), "--out", str(out)])
+    bad = tmp_path / "bad.jsonl"
+    bad.write_bytes(b"\n\n\xff")
+    rc = main(["compare", str(out / "bl.jsonl"), str(bad), "--links", corpus["links"],
+               "--out", str(tmp_path / "cmp")])
+    assert rc == 2
+    assert f"{bad}:3: not valid UTF-8" in capsys.readouterr().err
+
+
+def test_out_naming_a_file_is_a_usage_error(corpus, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    rc = main(["run", "--method", "bl", "--years", "1:2", *_args(corpus), "--out", str(taken)])
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --out")
+    assert "Traceback" not in err
+    assert taken.read_text() == ""
 
 
 def test_failed_run_leaves_no_partial_output(tmp_path, corpus):

@@ -163,14 +163,6 @@ def test_empty_year_keeps_store_but_advances_snapshot():
     assert store.snapshot(3)["A1"]["M01"] > store.snapshot(2)["A1"]["M01"]
 
 
-def test_threaded_run_matches_sequential():
-    timeline_a = illustrative_timeline()
-    timeline_b = illustrative_timeline()
-    store_seq, _ = run_series("dha", timeline_a, threads=1)
-    store_par, _ = run_series("dha", timeline_b, threads=4)
-    assert store_seq.snapshots == store_par.snapshots
-
-
 def test_store_values_never_decrease():
     store, _ = run_series("dha", illustrative_timeline())
     for year in range(2, 11):
