@@ -15,7 +15,7 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import dynamic, metrics
-from .ingest import DataFormatError, load_dataset, read_link_file, read_utf8
+from .ingest import DataFormatError, load_dataset, read_link_file, read_utf8, require_categories
 from .ledger import LedgerError
 from .meshtree import MeshFormatError
 from .similarity import AGGREGATIONS, AVERAGE, PaperNetwork
@@ -119,10 +119,11 @@ def _read_snapshots(path: Path) -> dict[int, dict[str, dict[str, float]]]:
 
 
 def cmd_ingest(args) -> int:
+    out_dir = _out_dir(args.out) if args.out else None
     dataset = load_dataset(args.links, args.mesh, args.taxonomy)
     text = json.dumps(dataset.manifest, indent=2, sort_keys=True)
-    if args.out:
-        _atomic_write(_out_dir(args.out) / "manifest.json", text + "\n")
+    if out_dir:
+        _atomic_write(out_dir / "manifest.json", text + "\n")
     print(text)
     return 0
 
@@ -148,15 +149,9 @@ def _static_snapshots(dataset, config: RunConfig) -> dict[int, dict[str, dict[st
                 mesh_pairs.append((key, category))
         net = PaperNetwork.from_links(links, mesh_pairs)
         per_author: dict[str, dict[str, float]] = {}
-        mesh_t = net.m_mp.transpose()
-        for author in net.store.authors.labels():
-            a = net.author(author)
+        for author in sorted(net.papers_of):
             categories = sorted(
-                {
-                    net.store.meshes.label_of(m)
-                    for p in net.m_ap.row(a).data
-                    for m in mesh_t.rows.get(p, {})
-                }
+                {m for p in net.papers_of[author] for m in net.categories_of.get(p, ())}
             )
             profile = {}
             for category in categories:
@@ -182,7 +177,9 @@ def cmd_run(args) -> int:
         last_year=last_year,
     )
     config.validate()
+    out_dir = _out_dir(args.out)
     dataset = load_dataset(args.links, args.mesh, args.taxonomy)
+    require_categories(dataset, args.links)
 
     if config.method in dynamic.DYNAMIC_METHODS:
         store, _ = dynamic.run_series(
@@ -204,7 +201,7 @@ def cmd_run(args) -> int:
         name += "_weighted"
     if config.method == "ha3":
         name += f"_{config.aggregation}"
-    out_path = _out_dir(args.out) / f"{name}.jsonl"
+    out_path = out_dir / f"{name}.jsonl"
     _atomic_write(out_path, _snapshot_lines(snapshots))
     print(out_path)
     return 0
@@ -229,6 +226,7 @@ def _paper_counts_by_year(link_records, years) -> dict[int, dict[str, int]]:
 
 
 def cmd_compare(args) -> int:
+    out_dir = _out_dir(args.out)
     path_a, path_b = Path(args.snapshots[0]), Path(args.snapshots[1])
     snaps_a, snaps_b = _read_snapshots(path_a), _read_snapshots(path_b)
     label_a, label_b = path_a.stem, path_b.stem
@@ -252,7 +250,6 @@ def cmd_compare(args) -> int:
 
     by_method = {label_a: snaps_a, label_b: snaps_b}
     rows = metrics.yearly_summary(by_method, counts, years, threshold=args.min_papers)
-    out_dir = _out_dir(args.out)
     summary = metrics.format_summary_table(rows, (label_a, label_b))
     _atomic_write(out_dir / "summary.tsv", summary)
 

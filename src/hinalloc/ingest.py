@@ -7,7 +7,7 @@ Formats (UTF-8, tab-separated, ``#`` comment lines ignored):
 * taxonomy: ``mesh_unique_id<TAB>tree_id`` (repeat lines for extra tree IDs)
 
 A paper is identified by (label, year): category rows attach to every yearly
-instance of the label.
+instance of the label. A repeated link line is an error.
 """
 
 from __future__ import annotations
@@ -49,8 +49,9 @@ def _data_lines(path: str | Path):
 
 
 def read_link_file(path: str | Path) -> list[tuple[int, str, str]]:
-    """(year, author, paper_label) records from a link-list file."""
+    """(year, author, paper_label) records from a link-list file; a repeated record is an error."""
     records = []
+    seen = set()
     for line_no, line in _data_lines(path):
         parts = line.split("\t")
         if len(parts) != 3:
@@ -62,7 +63,11 @@ def read_link_file(path: str | Path) -> list[tuple[int, str, str]]:
             raise DataFormatError(path, line_no, f"year is not an integer: {year_text!r}") from None
         if not author or not paper:
             raise DataFormatError(path, line_no, "empty author or paper label")
-        records.append((year, author, paper))
+        record = (year, author, paper)
+        if record in seen:
+            raise DataFormatError(path, line_no, f"repeated link {year} {author} {paper}")
+        seen.add(record)
+        records.append(record)
     return records
 
 
@@ -96,8 +101,9 @@ def load_dataset(links_path, mesh_path, taxonomy_path) -> Dataset:
     """Parse and cross-validate the three inputs.
 
     Papers whose unique IDs have no taxonomy entry (or that have no category
-    row at all) are kept and listed in the manifest; a category row naming a
-    paper absent from the link list is an error.
+    row at all) are kept and listed in the manifest (``require_categories``
+    rejects them); a category row naming a paper absent from the link list is
+    an error.
     """
     links = read_link_file(links_path)
     mesh_records = read_paper_mesh_file(mesh_path)
@@ -143,3 +149,16 @@ def load_dataset(links_path, mesh_path, taxonomy_path) -> Dataset:
         "taxonomy_errors": [f"line {n}: {msg}" for n, msg in taxonomy.errors],
     }
     return Dataset(Timeline(links_by_year, mesh_by_paper), manifest)
+
+
+def require_categories(dataset: Dataset, links_path) -> None:
+    """A paper with no category after taxonomy mapping is an error at its first link line."""
+    missing = set(dataset.manifest["papers_without_categories"])
+    if not missing:
+        return
+    for line_no, line in _data_lines(links_path):
+        paper = line.split("\t")[2].strip()
+        if paper in missing:
+            raise DataFormatError(
+                links_path, line_no, f"paper {paper!r} has no category after taxonomy mapping"
+            )

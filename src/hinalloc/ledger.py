@@ -11,7 +11,7 @@ cumulative list.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping
+from typing import Mapping
 
 from .nodes import NodeStore, NodeType
 from .sparse import SparseIncidence
@@ -22,34 +22,6 @@ PaperKey = tuple[str, int]
 
 class LedgerError(ValueError):
     """The ledger violates a structural requirement."""
-
-
-def build_incidence(
-    links: Iterable,
-    row_interner,
-    col_interner,
-    weighted: bool = False,
-) -> SparseIncidence:
-    """Intern (row_label, col_label[, value]) links and build the incidence matrix.
-
-    Labels are interned in sorted order so the resulting index assignment does
-    not depend on link order. Duplicate unweighted links collapse to one unit
-    entry; conflicting weights are rejected.
-    """
-    links = list(links)
-    for label in sorted({link[0] for link in links}):
-        row_interner.intern(label)
-    for label in sorted({link[1] for link in links}):
-        col_interner.intern(label)
-    entries = []
-    for link in links:
-        if len(link) == 2:
-            r, c = link
-            entries.append((row_interner.index_of(r), col_interner.index_of(c)))
-        else:
-            r, c, v = link
-            entries.append((row_interner.index_of(r), col_interner.index_of(c), v))
-    return SparseIncidence.from_entries(len(row_interner), len(col_interner), entries, weighted=weighted)
 
 
 @dataclass

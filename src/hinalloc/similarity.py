@@ -1,239 +1,126 @@
-"""Static relevance and allocation kernels on author-paper-category networks.
+"""Static relevance and allocation scores on author-paper-category networks.
 
-All scores are cosines between two vectors over the paper space: the target
-author's paper row against a category row that may first be filtered by a
-subset mask. Masks are what distinguish the allocation variants:
+Every static score is one cosine, counted over label sets. For author a with
+papers P and category m with papers M_m, inside a paper mask S that always
+contains P:
 
+    Σ_{P∩M_m} w / sqrt(|P| · Σ_{S∩M_m} w²)
+
+where w = 1, or for the weighted variants w_p = 1/|categories of p|, so a
+paper's categories split one unit of weight between them. Only the mask
+differs between the methods:
+
+* ``hetesim``: every paper. This is HeteSim path relevance over
+  author-paper-category (Shi et al., TKDE 2014).
 * ``ha1``: papers of the author and of anyone they ever co-authored with.
-* ``ha2``: papers of the author and of co-authors on the target category.
-* ``ha3``: per focal paper, all papers of that paper's authors; per-paper
-  scores are combined by sum (credit reading) or average (similarity reading).
+* ``ha2``: papers of the author, plus papers of the co-authors on the author's
+  papers in m.
+* ``ha3``: per focal paper of the author in m, all papers of that paper's
+  authors; per-paper scores are combined by sum (credit reading) or average
+  (similarity reading).
 
-Weighted variants score against the column-normalized paper-category matrix,
-so a paper's categories split one unit of weight between them.
+``bl`` is the counting baseline read as a similarity: the square root of the
+share of the author's (paper, category) incidences that fall on m.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
-
-from .ledger import build_incidence
-from .nodes import NodeStore, NodeType
-from .sparse import ShapeMismatchError, SparseIncidence, SparseVector
+from dataclasses import dataclass, field
 
 SUM = "sum"
 AVERAGE = "average"
 AGGREGATIONS = (SUM, AVERAGE)
 
 
-class MetaPathError(ValueError):
-    """A meta-path is malformed or incompatible with the requested operation."""
+def weighted_incidence(categories_of: dict[object, set]) -> dict[object, float]:
+    """Paper -> weight, each paper's unit weight split evenly across its categories."""
+    return {p: 1.0 / len(cats) for p, cats in categories_of.items()}
 
 
-@dataclass(frozen=True)
-class MetaPath:
-    """An ordered chain of hop matrices, one per relation along the path."""
-
-    steps: tuple[SparseIncidence, ...]
-
-    def __post_init__(self) -> None:
-        if not self.steps:
-            raise MetaPathError("a meta-path needs at least one relation")
-        for left, right in zip(self.steps, self.steps[1:]):
-            if left.n_cols != right.n_rows:
-                raise MetaPathError(
-                    f"hop dimensions do not chain: {left.n_rows}x{left.n_cols} "
-                    f"then {right.n_rows}x{right.n_cols}"
-                )
-
-    def __len__(self) -> int:
-        return len(self.steps)
+def _mass(papers, weights) -> float:
+    """Σ w over the papers; their number when unweighted."""
+    return len(papers) if weights is None else math.fsum(map(weights.__getitem__, papers))
 
 
-def transition_matrix(w: SparseIncidence) -> SparseIncidence:
-    """Row-normalize an incidence matrix; empty rows pass through as zero."""
-    return w.row_normalized()
-
-
-def reachable_probability(path: MetaPath) -> SparseIncidence:
-    """Product of the row-normalized hop matrices along the path."""
-    result = transition_matrix(path.steps[0])
-    for step in path.steps[1:]:
-        result = result.matmul(transition_matrix(step))
-    return result
-
-
-def _cosine(u: SparseVector, v: SparseVector) -> float:
-    num = u.dot(v)
-    if not num:
-        return 0.0
-    return num / math.sqrt(u.sum_of_squares() * v.sum_of_squares())
-
-
-def hetesim_normalized(a: int, b: int, path: MetaPath) -> float:
-    """Normalized path relevance: cosine of the two reachable-probability rows.
-
-    The path must split at its midpoint, so only even relation counts are
-    supported. Either side reaching nothing yields 0.
-    """
-    if len(path) % 2:
-        raise MetaPathError("normalized relevance needs an even number of relations")
-    half = len(path) // 2
-    left = reachable_probability(MetaPath(path.steps[:half]))
-    right_steps = tuple(step.transpose() for step in reversed(path.steps[half:]))
-    right = reachable_probability(MetaPath(right_steps))
-    return _cosine(left.row(a), right.row(b))
-
-
-def hetesim_author_mesh(a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncidence) -> float:
-    """Global relevance of author a to category m over the whole paper set."""
-    return _cosine(m_ap.row(a), m_mp.row(m))
-
-
-def hetealloc(
-    a: int,
-    m: int,
-    mask: SparseVector,
-    m_ap: SparseIncidence,
-    m_mp: SparseIncidence,
-    mesh_rows: SparseIncidence | None = None,
-) -> float:
-    """Subset-filtered relevance: category row restricted to the mask's papers.
-
-    ``mesh_rows`` supplies the scoring row for the category (pass the weighted
-    matrix for the weighted variants); it defaults to ``m_mp``.
-    """
-    if mask.length != m_ap.n_cols:
-        raise ShapeMismatchError("mask must live in the paper space")
-    scoring = mesh_rows if mesh_rows is not None else m_mp
-    return _cosine(m_ap.row(a), mask.hadamard(scoring.row(m)))
-
-
-def subset_ha1(a: int, m_ap: SparseIncidence) -> SparseVector:
-    """Papers reachable from a along author-paper-author-paper, binarized."""
-    own = m_ap.row(a)
-    coauthors = own.vecmat(m_ap.transpose())
-    return coauthors.vecmat(m_ap).binarized()
-
-
-def subset_ha2(a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncidence) -> SparseVector:
-    """Papers of a plus papers of co-authors on a's papers in category m.
-
-    The author's own papers are always included, so the mask is never empty
-    for a published author even without qualifying co-authors.
-    """
-    own = m_ap.row(a)
-    qualifying = own.hadamard(m_mp.row(m))
-    coauthors = qualifying.vecmat(m_ap.transpose())
-    reached = coauthors.vecmat(m_ap)
-    return reached.plus(own).binarized()
-
-
-def subset_ha3(a: int, p: int, m_ap: SparseIncidence) -> SparseVector:
-    """All papers of the focal paper's authors; a must be one of them."""
-    authors_of_p = m_ap.transpose().row(p)
-    if a not in authors_of_p.data:
-        raise ValueError(f"author {a} is not an author of paper {p}")
-    return authors_of_p.vecmat(m_ap).binarized()
-
-
-def hetealloc_ha1(
-    a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncidence, weighted: bool = False
-) -> float:
-    mesh_rows = weighted_incidence(m_mp) if weighted else None
-    return hetealloc(a, m, subset_ha1(a, m_ap), m_ap, m_mp, mesh_rows)
-
-
-def hetealloc_ha2(
-    a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncidence, weighted: bool = False
-) -> float:
-    mesh_rows = weighted_incidence(m_mp) if weighted else None
-    return hetealloc(a, m, subset_ha2(a, m, m_ap, m_mp), m_ap, m_mp, mesh_rows)
-
-
-def hetealloc_ha3(
-    a: int,
-    m: int,
-    m_ap: SparseIncidence,
-    m_mp: SparseIncidence,
-    aggregation: str = AVERAGE,
-    weighted: bool = False,
-) -> float:
-    """Focal-paper allocation over every paper of a that carries category m."""
-    if aggregation not in AGGREGATIONS:
-        raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
-    mesh_rows = weighted_incidence(m_mp) if weighted else None
-    focal_papers = sorted(m_ap.row(a).hadamard(m_mp.row(m)).data)
-    if not focal_papers:
-        return 0.0
-    terms = [
-        hetealloc(a, m, subset_ha3(a, p, m_ap), m_ap, m_mp, mesh_rows) for p in focal_papers
-    ]
-    total = sum(terms)
-    return total / len(terms) if aggregation == AVERAGE else total
-
-
-def weighted_incidence(m_mp: SparseIncidence) -> SparseIncidence:
-    """Category-paper matrix with each paper's unit weight split across its categories."""
-    return m_mp.binarized().column_normalized()
-
-
-def baseline_similarity(a: int, m: int, m_ap: SparseIncidence, m_mp: SparseIncidence) -> float:
-    """Square root of the share of a's author-category incidences that fall on m."""
-    own = m_ap.row(a)
-    count_m = own.dot(m_mp.row(m))
-    if not count_m:
-        return 0.0
-    per_paper_categories = m_mp.transpose()
-    total = sum(per_paper_categories.row(p).entry_sum() for p in own.data)
-    return math.sqrt(count_m / total)
+def _square_mass(papers, weights) -> float:
+    """Σ w² over the papers; their number when unweighted."""
+    return len(papers) if weights is None else math.fsum([weights[p] * weights[p] for p in papers])
 
 
 @dataclass
 class PaperNetwork:
-    """A static author-paper-category network with label-level accessors."""
+    """A static author-paper-category network held as label sets."""
 
-    store: NodeStore
-    m_ap: SparseIncidence  # author x paper
-    m_mp: SparseIncidence  # category x paper
+    papers_of: dict[str, set]  # author -> papers
+    authors_of: dict[object, set]  # paper -> authors
+    categories_of: dict[object, set]  # paper -> categories
+    papers_in: dict[str, set]  # category -> papers
+    _weights: dict | None = field(default=None, init=False, repr=False)
+    _norms: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_links(cls, author_paper, paper_mesh) -> PaperNetwork:
         """Build from (author, paper) and (paper, category) label pairs."""
-        store = NodeStore()
-        m_ap = build_incidence(author_paper, store.authors, store.papers)
-        for p, _ in paper_mesh:
-            if p not in store.papers:
+        papers_of: dict[str, set] = {}
+        authors_of: dict[object, set] = {}
+        for a, p in author_paper:
+            papers_of.setdefault(a, set()).add(p)
+            authors_of.setdefault(p, set()).add(a)
+        categories_of: dict[object, set] = {}
+        papers_in: dict[str, set] = {}
+        for p, m in paper_mesh:
+            if p not in authors_of:
                 raise ValueError(f"category link references unknown paper {p!r}")
-        # columns land in the shared paper index because the interner already
-        # holds every paper
-        m_mp = build_incidence(((m, p) for p, m in paper_mesh), store.meshes, store.papers)
-        return cls(store, m_ap, m_mp)
+            categories_of.setdefault(p, set()).add(m)
+            papers_in.setdefault(m, set()).add(p)
+        return cls(papers_of, authors_of, categories_of, papers_in)
 
-    def author(self, label: str) -> int:
-        return self.store.authors.index_of(label)
+    def _papers_by(self, authors) -> set:
+        return set().union(*map(self.papers_of.__getitem__, authors))
 
-    def mesh(self, label: str) -> int:
-        return self.store.meshes.index_of(label)
+    def _authors_on(self, papers) -> set:
+        return set().union(*map(self.authors_of.__getitem__, papers))
 
-    def paper(self, label) -> int:
-        return self.store.papers.index_of(label)
+    def _category_norm(self, mesh: str, weights) -> float:
+        """Hetesim's Σ_{M_m} w², once per category and weighting."""
+        key = (mesh, weights is not None)
+        if key not in self._norms:
+            self._norms[key] = _square_mass(self.papers_in[mesh], weights)
+        return self._norms[key]
 
     def score(self, method: str, author: str, mesh: str, weighted: bool = False,
               aggregation: str = AVERAGE) -> float:
-        a, m = self.author(author), self.mesh(mesh)
+        own, in_m = self.papers_of[author], self.papers_in[mesh]
+        focal = own & in_m
         if method == "bl":
             if weighted:
                 raise ValueError("the baseline has no weighted variant")
-            return baseline_similarity(a, m, self.m_ap, self.m_mp)
+            if not focal:
+                return 0.0
+            incidences = sum(len(self.categories_of.get(p, ())) for p in own)
+            return math.sqrt(len(focal) / incidences)
+        if method not in ("hetesim", "ha1", "ha2", "ha3"):
+            raise ValueError(f"unknown method {method!r}")
+        if aggregation not in AGGREGATIONS:
+            raise ValueError(f"aggregation must be one of {AGGREGATIONS}, got {aggregation!r}")
+        if weighted and self._weights is None:
+            self._weights = weighted_incidence(self.categories_of)
+        weights = self._weights if weighted else None
+        num = _mass(focal, weights)
+        if not num:
+            return 0.0
         if method == "hetesim":
-            mesh_rows = weighted_incidence(self.m_mp) if weighted else self.m_mp
-            return _cosine(self.m_ap.row(a), mesh_rows.row(m))
-        if method == "ha1":
-            return hetealloc_ha1(a, m, self.m_ap, self.m_mp, weighted)
-        if method == "ha2":
-            return hetealloc_ha2(a, m, self.m_ap, self.m_mp, weighted)
-        if method == "ha3":
-            return hetealloc_ha3(a, m, self.m_ap, self.m_mp, aggregation, weighted)
-        raise ValueError(f"unknown method {method!r}")
+            squares = [self._category_norm(mesh, weights)]
+        elif method == "ha1":
+            squares = [_square_mass(self._papers_by(self._authors_on(own)) & in_m, weights)]
+        elif method == "ha2":
+            mask = own | self._papers_by(self._authors_on(focal))
+            squares = [_square_mass(mask & in_m, weights)]
+        else:  # one mask per focal paper, summed in sorted paper order
+            squares = [
+                _square_mass(self._papers_by(self.authors_of[p]) & in_m, weights)
+                for p in sorted(focal)
+            ]
+        total = sum([num / math.sqrt(len(own) * sq) for sq in squares])
+        return total / len(squares) if aggregation == AVERAGE else total

@@ -1,12 +1,11 @@
 """Sparse row-indexed incidence matrices and the vector kernels built on them.
 
-Everything downstream (similarity kernels, the yearly engine) runs on these two
-types. Entries are strictly positive; absent means zero.
+The yearly engine runs on these two types; the static scores count label sets
+instead. Entries are strictly positive; absent means zero.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 
@@ -69,16 +68,8 @@ class SparseVector:
     def sum_of_squares(self) -> float:
         return sum(v * v for v in self.data.values())
 
-    def euclidean_norm(self) -> float:
-        return math.sqrt(self.sum_of_squares())
-
     def binarized(self) -> SparseVector:
         return SparseVector(self.length, {i: 1.0 for i in self.data})
-
-    def scaled(self, factor: float) -> SparseVector:
-        if factor == 0:
-            return SparseVector(self.length, {})
-        return SparseVector(self.length, {i: v * factor for i, v in self.data.items()})
 
     def support(self) -> frozenset[int]:
         return frozenset(self.data)
@@ -143,10 +134,6 @@ class SparseIncidence:
                 raise ConflictingWeightError(f"cell ({r}, {c}) given weights {old} and {v}")
             cells[c] = v
         return cls(n_rows, n_cols, rows)
-
-    @classmethod
-    def identity(cls, n: int) -> SparseIncidence:
-        return cls(n, n, {i: {i: 1.0} for i in range(n)})
 
     def row(self, i: int) -> SparseVector:
         if not 0 <= i < self.n_rows:
@@ -232,26 +219,3 @@ class SparseIncidence:
                 out[r][c] = v
         return out
 
-
-def elementwise_product(u: SparseVector, v: SparseVector) -> SparseVector:
-    return u.hadamard(v)
-
-
-def entry_sum(v: SparseVector) -> float:
-    return v.entry_sum()
-
-
-def matvec(matrix: SparseIncidence, vector: SparseVector) -> SparseVector:
-    return matrix.matvec(vector)
-
-
-def matmul(a: SparseIncidence, b: SparseIncidence) -> SparseIncidence:
-    return a.matmul(b)
-
-
-def transpose(matrix: SparseIncidence) -> SparseIncidence:
-    return matrix.transpose()
-
-
-def row(matrix: SparseIncidence, i: int) -> SparseVector:
-    return matrix.row(i)

@@ -1,8 +1,9 @@
-"""Independent reference evaluators used to check the matrix-form kernels.
+"""Independent reference evaluators used to check the package's kernels.
 
-Everything here works on plain sets of papers, authors, and categories; no
-code is shared with the package's sparse kernels, so agreement between the
-two routes is meaningful.
+Everything here works on plain sets of papers, authors, and categories and
+recomputes every mask from the paper list; no code is shared with the
+package's kernels or with the matrix-form reference, so agreement between the
+routes is meaningful.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import combinations_with_replacement
 
 from hinalloc.ledger import Timeline
@@ -28,11 +30,23 @@ class OracleNet:
     def meshes(self) -> list[str]:
         return sorted({m for _, cats in self.papers for m in cats})
 
-    def papers_of(self, a: str) -> set[int]:
-        return {i for i, (auths, _) in enumerate(self.papers) if a in auths}
+    def papers_of(self, a: str) -> frozenset[int]:
+        return self._positions[0].get(a, frozenset())
 
-    def papers_with(self, m: str) -> set[int]:
-        return {i for i, (_, cats) in enumerate(self.papers) if m in cats}
+    def papers_with(self, m: str) -> frozenset[int]:
+        return self._positions[1].get(m, frozenset())
+
+    @cached_property
+    def _positions(self) -> tuple[dict[str, frozenset[int]], dict[str, frozenset[int]]]:
+        """Label -> positions of the papers that list it: authors, then categories."""
+        by_author: dict[str, set[int]] = {}
+        by_mesh: dict[str, set[int]] = {}
+        for i, (auths, cats) in enumerate(self.papers):
+            for a in auths:
+                by_author.setdefault(a, set()).add(i)
+            for m in cats:
+                by_mesh.setdefault(m, set()).add(i)
+        return tuple({k: frozenset(v) for k, v in d.items()} for d in (by_author, by_mesh))
 
     def weight(self, p: int, m: str) -> float:
         cats = self.papers[p][1]
@@ -48,19 +62,16 @@ def to_paper_network(net: OracleNet) -> PaperNetwork:
 def score(net: OracleNet, a: str, m: str, mask: set[int], weighted: bool = False) -> float:
     """Cosine of the author's papers against the masked category column."""
     mine = net.papers_of(a)
+    masked = mask & net.papers_with(m)
     if weighted:
-        num = sum(net.weight(p, m) for p in mine & mask)
-        norm_sq = sum(net.weight(p, m) ** 2 for p in mask)
+        num = sum(net.weight(p, m) for p in mine & masked)
+        norm_sq = sum(net.weight(p, m) ** 2 for p in masked)
     else:
-        num = len(mine & mask & net.papers_with(m))
-        norm_sq = len(mask & net.papers_with(m))
+        num = len(mine & masked)
+        norm_sq = len(masked)
     if not num or not norm_sq:
         return 0.0
     return num / math.sqrt(len(mine) * norm_sq)
-
-
-def hetesim(net: OracleNet, a: str, m: str, weighted: bool = False) -> float:
-    return score(net, a, m, set(range(len(net.papers))), weighted)
 
 
 def ha1_mask(net: OracleNet, a: str) -> set[int]:
@@ -81,20 +92,23 @@ def ha3_mask(net: OracleNet, p: int) -> set[int]:
     return {i for i, (auths, _) in enumerate(net.papers) if auths & focal_authors}
 
 
-def ha1(net: OracleNet, a: str, m: str, weighted: bool = False) -> float:
-    return score(net, a, m, ha1_mask(net, a), weighted)
-
-
-def ha2(net: OracleNet, a: str, m: str, weighted: bool = False) -> float:
-    return score(net, a, m, ha2_mask(net, a, m), weighted)
-
-
-def ha3(net: OracleNet, a: str, m: str, aggregation: str = "average", weighted: bool = False) -> float:
-    focal = sorted(net.papers_of(a) & net.papers_with(m))
-    if not focal:
-        return 0.0
-    terms = [score(net, a, m, ha3_mask(net, p), weighted) for p in focal]
-    return sum(terms) / len(terms) if aggregation == "average" else sum(terms)
+def static_scores(net: OracleNet, a: str, m: str) -> dict[tuple[str, bool, str], float]:
+    """hetesim, ha1, ha2 and ha3 (sum and average), unweighted and weighted, keyed
+    (method, weighted, aggregation); each mask is built once and scored both ways."""
+    masks = {
+        "hetesim": set(range(len(net.papers))),
+        "ha1": ha1_mask(net, a),
+        "ha2": ha2_mask(net, a, m),
+    }
+    focal_masks = [ha3_mask(net, p) for p in sorted(net.papers_of(a) & net.papers_with(m))]
+    out = {}
+    for weighted in (False, True):
+        for method, mask in masks.items():
+            out[method, weighted, "average"] = score(net, a, m, mask, weighted)
+        terms = [score(net, a, m, mask, weighted) for mask in focal_masks]
+        out["ha3", weighted, "sum"] = sum(terms)
+        out["ha3", weighted, "average"] = sum(terms) / len(terms) if terms else 0.0
+    return out
 
 
 def baseline(net: OracleNet, a: str, m: str) -> float:

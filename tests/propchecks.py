@@ -9,72 +9,51 @@ import math
 import random
 
 from hinalloc.dynamic import run_series
-from hinalloc.similarity import (
-    SUM,
-    baseline_similarity,
-    hetealloc,
-    hetealloc_ha1,
-    hetealloc_ha2,
-    hetealloc_ha3,
-    hetesim_author_mesh,
-)
+from hinalloc.similarity import SUM
 from hinalloc.sparse import SparseVector
 
 import oracle
+from matrix_reference import MatrixNetwork, hetealloc
 
 EPS = 1e-9
-
 
 def _pairs(net: oracle.OracleNet):
     return [(a, m) for a in net.authors() for m in net.meshes()]
 
 
+def _both_forms(net: oracle.OracleNet):
+    """The shipped set-form network and the matrix-form reference of the same net."""
+    pn = oracle.to_paper_network(net)
+    return pn, MatrixNetwork.of(pn)
+
+
 def check_range_bounds(net: oracle.OracleNet) -> None:
     """Every similarity-form score sits in [0, 1]; the ha3 sum dominates the average."""
-    pn = oracle.to_paper_network(net)
-    for a, m in _pairs(net):
-        ai, mi = pn.author(a), pn.mesh(m)
-        for weighted in (False, True):
-            values = [
-                pn.score("hetesim", a, m, weighted=weighted),
-                hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp, weighted),
-                hetealloc_ha2(ai, mi, pn.m_ap, pn.m_mp, weighted),
-                hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average", weighted),
-            ]
-            for v in values:
-                assert -EPS <= v <= 1 + EPS, f"score out of range: {v} for {a},{m}"
-        assert 0 <= baseline_similarity(ai, mi, pn.m_ap, pn.m_mp) <= 1 + EPS
-        avg = hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average")
-        total = hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, SUM)
-        assert total >= avg - EPS
+    for pn in _both_forms(net):
+        for a, m in _pairs(net):
+            for method in ("hetesim", "ha1", "ha2", "ha3"):
+                for weighted in (False, True):
+                    v = pn.score(method, a, m, weighted)
+                    assert -EPS <= v <= 1 + EPS, f"score out of range: {v} for {method} {a},{m}"
+            assert 0 <= pn.score("bl", a, m) <= 1 + EPS
+            avg = pn.score("ha3", a, m, aggregation="average")
+            total = pn.score("ha3", a, m, aggregation=SUM)
+            assert total >= avg - EPS
 
 
 def check_locality(net: oracle.OracleNet) -> None:
     """A disconnected author's new paper moves the global score but no subset score."""
-    pn_before = oracle.to_paper_network(net)
     stranger_paper = (frozenset({"ZZ_new"}), frozenset(net.meshes()))
     grown = oracle.OracleNet(net.papers + (stranger_paper,))
-    pn_after = oracle.to_paper_network(grown)
-    for a, m in _pairs(net):
-        before = [
-            hetealloc_ha1(pn_before.author(a), pn_before.mesh(m), pn_before.m_ap, pn_before.m_mp),
-            hetealloc_ha2(pn_before.author(a), pn_before.mesh(m), pn_before.m_ap, pn_before.m_mp),
-            hetealloc_ha3(pn_before.author(a), pn_before.mesh(m), pn_before.m_ap, pn_before.m_mp),
-        ]
-        after = [
-            hetealloc_ha1(pn_after.author(a), pn_after.mesh(m), pn_after.m_ap, pn_after.m_mp),
-            hetealloc_ha2(pn_after.author(a), pn_after.mesh(m), pn_after.m_ap, pn_after.m_mp),
-            hetealloc_ha3(pn_after.author(a), pn_after.mesh(m), pn_after.m_ap, pn_after.m_mp),
-        ]
-        assert before == after, f"subset scores moved for ({a},{m})"
-        hs_before = hetesim_author_mesh(
-            pn_before.author(a), pn_before.mesh(m), pn_before.m_ap, pn_before.m_mp
-        )
-        hs_after = hetesim_author_mesh(
-            pn_after.author(a), pn_after.mesh(m), pn_after.m_ap, pn_after.m_mp
-        )
-        if net.papers_of(a) & net.papers_with(m):
-            assert hs_after < hs_before - EPS, f"global score did not drop for ({a},{m})"
+    for pn_before, pn_after in zip(_both_forms(net), _both_forms(grown)):
+        for a, m in _pairs(net):
+            before = [pn_before.score(method, a, m) for method in ("ha1", "ha2", "ha3")]
+            after = [pn_after.score(method, a, m) for method in ("ha1", "ha2", "ha3")]
+            assert before == after, f"subset scores moved for ({a},{m})"
+            hs_before = pn_before.score("hetesim", a, m)
+            hs_after = pn_after.score("hetesim", a, m)
+            if net.papers_of(a) & net.papers_with(m):
+                assert hs_after < hs_before - EPS, f"global score did not drop for ({a},{m})"
 
 
 def check_isolated_collapse(net: oracle.OracleNet, rng: random.Random) -> None:
@@ -89,27 +68,22 @@ def check_isolated_collapse(net: oracle.OracleNet, rng: random.Random) -> None:
         for _ in range(k)
     )
     grown = oracle.OracleNet(net.papers + solo_papers)
-    pn = oracle.to_paper_network(grown)
-    a = pn.author("ZZ_solo")
     single_category = all(len(cats) == 1 for _, cats in solo_papers)
-    for m_label in meshes:
-        m = pn.mesh(m_label)
-        count = len(grown.papers_of("ZZ_solo") & grown.papers_with(m_label))
-        expected = math.sqrt(count / k)
-        for got in (
-            hetealloc_ha1(a, m, pn.m_ap, pn.m_mp),
-            hetealloc_ha2(a, m, pn.m_ap, pn.m_mp),
-            hetealloc_ha3(a, m, pn.m_ap, pn.m_mp, "average"),
-        ):
-            assert math.isclose(got, expected, abs_tol=1e-12), (got, expected)
-        if single_category:
-            bl = baseline_similarity(a, m, pn.m_ap, pn.m_mp)
-            assert math.isclose(bl, expected, abs_tol=1e-12), (bl, expected)
+    for pn in _both_forms(grown):
+        for m in meshes:
+            count = len(grown.papers_of("ZZ_solo") & grown.papers_with(m))
+            expected = math.sqrt(count / k)
+            for method in ("ha1", "ha2", "ha3"):
+                got = pn.score(method, "ZZ_solo", m)
+                assert math.isclose(got, expected, abs_tol=1e-12), (method, got, expected)
+            if single_category:
+                bl = pn.score("bl", "ZZ_solo", m)
+                assert math.isclose(bl, expected, abs_tol=1e-12), (bl, expected)
 
 
 def check_mask_monotonicity(net: oracle.OracleNet, rng: random.Random) -> None:
     """Adding papers outside the author's row to a mask never raises the score."""
-    pn = oracle.to_paper_network(net)
+    pn = MatrixNetwork.of(oracle.to_paper_network(net))
     n_papers = len(net.papers)
     for a, m in _pairs(net):
         ai, mi = pn.author(a), pn.mesh(m)
@@ -128,36 +102,23 @@ def check_weighted_degeneration(net: oracle.OracleNet) -> None:
     single = oracle.OracleNet(
         tuple((auths, frozenset({sorted(cats)[0]})) for auths, cats in net.papers)
     )
-    pn = oracle.to_paper_network(single)
-    for a, m in _pairs(single):
-        ai = pn.author(a)
-        mi = pn.mesh(m) if m in pn.store.meshes else None
-        if mi is None:
-            continue
-        assert hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp, False) == hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp, True)
-        assert hetealloc_ha2(ai, mi, pn.m_ap, pn.m_mp, False) == hetealloc_ha2(ai, mi, pn.m_ap, pn.m_mp, True)
-        assert hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average", False) == hetealloc_ha3(
-            ai, mi, pn.m_ap, pn.m_mp, "average", True
-        )
+    for pn in _both_forms(single):
+        for a, m in _pairs(single):
+            for method in ("ha1", "ha2", "ha3"):
+                assert pn.score(method, a, m) == pn.score(method, a, m, weighted=True), (method, a, m)
 
 
 def check_matrix_vs_oracle(net: oracle.OracleNet) -> None:
-    """Matrix-form kernels agree with the set-theoretic evaluation."""
-    pn = oracle.to_paper_network(net)
+    """The shipped set-form scores and the matrix-form reference agree with the
+    set-theoretic evaluation on every static variant."""
+    pn, matrix = _both_forms(net)
     for a, m in _pairs(net):
-        ai, mi = pn.author(a), pn.mesh(m)
-        cases = [
-            (hetesim_author_mesh(ai, mi, pn.m_ap, pn.m_mp), oracle.hetesim(net, a, m)),
-            (hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp), oracle.ha1(net, a, m)),
-            (hetealloc_ha2(ai, mi, pn.m_ap, pn.m_mp), oracle.ha2(net, a, m)),
-            (hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average"), oracle.ha3(net, a, m, "average")),
-            (hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, SUM), oracle.ha3(net, a, m, SUM)),
-            (hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp, True), oracle.ha1(net, a, m, True)),
-            (hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average", True), oracle.ha3(net, a, m, "average", True)),
-            (baseline_similarity(ai, mi, pn.m_ap, pn.m_mp), oracle.baseline(net, a, m)),
-        ]
-        for got, want in cases:
-            assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (a, m, got, want)
+        cases = {("bl", False, "average"): oracle.baseline(net, a, m), **oracle.static_scores(net, a, m)}
+        for (method, weighted, aggregation), want in cases.items():
+            for form in (pn, matrix):
+                got = form.score(method, a, m, weighted, aggregation)
+                assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (
+                    type(form).__name__, method, weighted, aggregation, a, m, got, want)
 
 
 def check_dha_order_independence(batches, rng: random.Random) -> None:

@@ -34,11 +34,12 @@ from hinalloc.fixtures import (
     store_matrix,
 )
 from hinalloc.metrics import histogram, max_min_ratio, normalized_max
-from hinalloc.similarity import SUM, hetealloc_ha1, hetealloc_ha2, hetealloc_ha3, hetesim_author_mesh
+from hinalloc.similarity import SUM
 from hinalloc.synth import CorpusSpec, generate_corpus
 
 import oracle
 import propchecks
+from matrix_reference import MatrixNetwork, hetealloc_ha1, hetealloc_ha2, hetealloc_ha3, hetesim_author_mesh
 
 GOLDEN_TOL = 1e-3
 REPORTS_DIR = Path(__file__).resolve().parent.parent / "reports"
@@ -74,8 +75,9 @@ def test_criterion_2_table_network_2():
     start = time.perf_counter()
     net = example_network_2()
     checked = _check_table(net, TABLE_NETWORK_2)
-    assert hetesim_author_mesh(net.author("A3"), net.mesh("M1"), net.m_ap, net.m_mp) == pytest.approx(0.288, abs=GOLDEN_TOL)
-    assert hetealloc_ha3(net.author("A2"), net.mesh("M1"), net.m_ap, net.m_mp, "average") == pytest.approx(0.973, abs=GOLDEN_TOL)
+    matrix = MatrixNetwork.of(net)
+    assert hetesim_author_mesh(matrix.author("A3"), matrix.mesh("M1"), matrix.m_ap, matrix.m_mp) == pytest.approx(0.288, abs=GOLDEN_TOL)
+    assert hetealloc_ha3(matrix.author("A2"), matrix.mesh("M1"), matrix.m_ap, matrix.m_mp, "average") == pytest.approx(0.973, abs=GOLDEN_TOL)
     elapsed = time.perf_counter() - start
     assert checked == 48
     _report(2, elapsed < 1.0, "network-2 table: 48 cells within 1e-3", f"{elapsed:.3f}s")
@@ -163,23 +165,30 @@ def test_criterion_6_exhaustive_oracle_equivalence():
         if not net.papers:
             continue
         pn = oracle.to_paper_network(net)
+        matrix = MatrixNetwork.of(pn)
+        m_ap, m_mp = matrix.m_ap, matrix.m_mp
         for a in net.authors():
-            ai = pn.author(a)
+            ai = matrix.author(a)
             for m in net.meshes():
-                mi = pn.mesh(m)
-                cases = (
-                    (hetesim_author_mesh(ai, mi, pn.m_ap, pn.m_mp), oracle.hetesim(net, a, m)),
-                    (hetealloc_ha1(ai, mi, pn.m_ap, pn.m_mp), oracle.ha1(net, a, m)),
-                    (hetealloc_ha2(ai, mi, pn.m_ap, pn.m_mp), oracle.ha2(net, a, m)),
-                    (hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, "average"), oracle.ha3(net, a, m)),
-                    (hetealloc_ha3(ai, mi, pn.m_ap, pn.m_mp, SUM), oracle.ha3(net, a, m, SUM)),
-                )
-                for got, want in cases:
-                    assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12), (net, a, m, got, want)
+                mi = matrix.mesh(m)
+                want = oracle.static_scores(net, a, m)
+                cases = [
+                    (hetesim_author_mesh(ai, mi, m_ap, m_mp), want["hetesim", False, "average"]),
+                    (hetealloc_ha1(ai, mi, m_ap, m_mp), want["ha1", False, "average"]),
+                    (hetealloc_ha2(ai, mi, m_ap, m_mp), want["ha2", False, "average"]),
+                    (hetealloc_ha3(ai, mi, m_ap, m_mp, "average"), want["ha3", False, "average"]),
+                    (hetealloc_ha3(ai, mi, m_ap, m_mp, SUM), want["ha3", False, SUM]),
+                ]
+                cases += [
+                    (pn.score(method, a, m, weighted, aggregation), value)
+                    for (method, weighted, aggregation), value in want.items()
+                ]
+                for got, expected in cases:
+                    assert math.isclose(got, expected, rel_tol=1e-12, abs_tol=1e-12), (net, a, m, got, expected)
                     comparisons += 1
     elapsed = time.perf_counter() - start
     ok = elapsed < 30.0 and networks == 12650
-    _report(6, ok, "matrix kernels equal set-theoretic evaluation on all bounded networks",
+    _report(6, ok, "shipped and matrix-form kernels equal set-theoretic evaluation on all bounded networks",
             f"{networks} networks, {comparisons} comparisons, {elapsed:.1f}s")
 
 

@@ -197,6 +197,61 @@ def test_out_naming_a_file_is_a_usage_error(corpus, tmp_path, capsys):
     assert taken.read_text() == ""
 
 
+@pytest.mark.parametrize("command", ["ingest", "run", "compare"])
+def test_out_is_checked_before_any_input_is_read(command, tmp_path, capsys):
+    taken = tmp_path / "taken"
+    taken.write_text("")
+    missing = str(tmp_path / "missing.tsv")
+    data = ["--links", missing, "--mesh", missing, "--taxonomy", missing]
+    argv = {
+        "ingest": ["ingest", *data],
+        "run": ["run", "--method", "dha", "--years", "1:2", *data],
+        "compare": ["compare", missing, missing, "--links", missing],
+    }[command]
+    assert main([*argv, "--out", str(taken)]) == 1
+    assert capsys.readouterr().err.startswith("usage error: --out")
+
+
+METHOD_ARGS = {
+    "bl": ["--method", "bl"],
+    "dha": ["--method", "dha"],
+    "hetesim": ["--method", "hetesim"],
+    "ha1": ["--method", "ha1"],
+    "ha2": ["--method", "ha2"],
+    "ha3": ["--method", "ha3"],
+}
+
+# one bad input per row: (file to change, text appended to it, line of the
+# error, text the message names); the illustrative links file has one comment
+# line and 90 links
+BAD_INPUTS = {
+    "repeated_link": ("links", "1\tA1\tP1\n", 92, "repeated link 1 A1 P1"),
+    "paper_without_category_row": ("links", "10\tA2\tPX\n", 92, "'PX'"),
+    "category_id_outside_taxonomy": ("links", "10\tA2\tPY\n", 92, "'PY'"),
+    "non_integer_year": ("links", "ten\tA2\tP1\n", 92, "'ten'"),
+}
+
+
+@pytest.mark.parametrize("method", sorted(METHOD_ARGS))
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_is_a_data_error_at_its_line_for_every_method(case, method, corpus, tmp_path, capsys):
+    which, extra, line_no, named = BAD_INPUTS[case]
+    paths = dict(corpus)
+    if case == "category_id_outside_taxonomy":
+        mesh = tmp_path / "mesh.tsv"
+        mesh.write_text(Path(corpus["mesh"]).read_text() + "PY\tD999999\n")
+        paths["mesh"] = str(mesh)
+    bad = tmp_path / f"bad_{which}.tsv"
+    bad.write_text(Path(corpus[which]).read_text() + extra)
+    paths[which] = str(bad)
+    out = tmp_path / "out"
+    rc = main(["run", *METHOD_ARGS[method], "--years", "1:10", *_args(paths), "--out", str(out)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{line_no}: " in err and named in err
+    assert list(out.glob("*")) == []
+
+
 def test_failed_run_leaves_no_partial_output(tmp_path, corpus):
     # a paper without any category row is a data error at run time
     links = Path(corpus["links"]).read_text() + "11\tA1\tPX\n"

@@ -25,6 +25,7 @@ from hinalloc.fixtures import (
 from hinalloc.ledger import Timeline, YearLedger
 
 import oracle
+from matrix_reference import MatrixNetwork
 
 
 def _single_year_input(batch, experience=()):
@@ -182,9 +183,7 @@ def test_bl_equals_cumulative_matrix_product():
             links.append((a, key))
             for c in timeline.mesh_by_paper[key]:
                 mesh_pairs.add((key, c))
-    from hinalloc.similarity import PaperNetwork
-
-    net = PaperNetwork.from_links(links, sorted(mesh_pairs))
+    net = MatrixNetwork.from_links(links, sorted(mesh_pairs))
     counts = net.m_ap.matmul(net.m_mp.transpose())
     for a in AUTHOR_ORDER:
         for c in CATEGORY_ORDER:

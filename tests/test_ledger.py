@@ -3,12 +3,13 @@ import pytest
 from hinalloc.ledger import (
     LedgerError,
     YearLedger,
-    build_incidence,
     links_as_set,
     materialize_year,
 )
 from hinalloc.fixtures import illustrative_publications, illustrative_timeline
 from hinalloc.nodes import NodeStore
+
+from matrix_reference import build_incidence
 
 
 def _year_links(year):

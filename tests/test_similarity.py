@@ -14,10 +14,14 @@ from hinalloc.fixtures import (
     illustrative_timeline,
     score_for_table,
 )
-from hinalloc.similarity import (
+from hinalloc.similarity import PaperNetwork, weighted_incidence
+from hinalloc.sparse import SparseIncidence, SparseVector
+
+import matrix_reference as ref
+from matrix_reference import (
+    MatrixNetwork,
     MetaPath,
     MetaPathError,
-    PaperNetwork,
     baseline_similarity,
     hetealloc,
     hetealloc_ha3,
@@ -28,11 +32,13 @@ from hinalloc.similarity import (
     subset_ha2,
     subset_ha3,
     transition_matrix,
-    weighted_incidence,
 )
-from hinalloc.sparse import SparseIncidence, SparseVector
 
 GOLDEN_TOL = 1e-3
+
+
+def _matrix_networks() -> list[MatrixNetwork]:
+    return [MatrixNetwork.of(net()) for net in (example_network_1, example_network_2, example_network_3)]
 
 
 @pytest.mark.parametrize("pair,expected", sorted(TABLE_NETWORK_1.items()))
@@ -66,7 +72,7 @@ def test_table_network_3_weighted_home_side():
             assert score_for_table(net, method, *pair) == pytest.approx(want, abs=GOLDEN_TOL)
 
 
-def _first_year_network() -> PaperNetwork:
+def _first_year_network() -> MatrixNetwork:
     timeline = illustrative_timeline()
     links = timeline.links_by_year[1]
     mesh = [
@@ -74,7 +80,7 @@ def _first_year_network() -> PaperNetwork:
         for key in sorted({k for _, k in links})
         for category in sorted(timeline.mesh_by_paper[key])
     ]
-    return PaperNetwork.from_links(links, mesh)
+    return MatrixNetwork.from_links(links, mesh)
 
 
 def test_transition_matrix_rows():
@@ -109,7 +115,7 @@ def test_reachable_probability_zero_row_propagates():
 
 
 def test_hetesim_normalized_self_maximum_and_symmetry():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     path = MetaPath((net.m_ap, net.m_ap.transpose()))
     for a in range(net.m_ap.n_rows):
         assert hetesim_normalized(a, a, path) == pytest.approx(1.0)
@@ -119,14 +125,14 @@ def test_hetesim_normalized_self_maximum_and_symmetry():
 
 
 def test_hetesim_normalized_disconnected_pair_is_zero():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     path = MetaPath((net.m_ap, net.m_ap.transpose()))
     # A3 shares no paper with A1
     assert hetesim_normalized(net.author("A1"), net.author("A3"), path) == 0.0
 
 
 def test_hetesim_normalized_rejects_odd_paths():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     with pytest.raises(MetaPathError):
         hetesim_normalized(0, 0, MetaPath((net.m_ap,)))
 
@@ -134,7 +140,7 @@ def test_hetesim_normalized_rejects_odd_paths():
 def test_hetesim_normalized_matches_count_form_on_author_category_path():
     # for the two-relation author-paper-category path on unweighted links the
     # probability form coincides with the count form
-    for net in (example_network_1(), example_network_2(), example_network_3()):
+    for net in _matrix_networks():
         path = MetaPath((net.m_ap, net.m_mp.transpose()))
         for a in range(net.m_ap.n_rows):
             for m in range(net.m_mp.n_rows):
@@ -144,11 +150,11 @@ def test_hetesim_normalized_matches_count_form_on_author_category_path():
 
 
 def test_hetesim_author_mesh_values():
-    net1 = example_network_1()
+    net1 = MatrixNetwork.of(example_network_1())
     assert hetesim_author_mesh(
         net1.author("A1"), net1.mesh("M1"), net1.m_ap, net1.m_mp
     ) == pytest.approx(0.577, abs=GOLDEN_TOL)
-    net2 = example_network_2()
+    net2 = MatrixNetwork.of(example_network_2())
     assert hetesim_author_mesh(
         net2.author("A3"), net2.mesh("M1"), net2.m_ap, net2.m_mp
     ) == pytest.approx(0.288, abs=GOLDEN_TOL)
@@ -158,12 +164,12 @@ def test_hetesim_author_mesh_values():
 
 
 def test_hetesim_solo_paper_scores_one():
-    net = PaperNetwork.from_links([("A1", "P1")], [("P1", "M1")])
+    net = MatrixNetwork.from_links([("A1", "P1")], [("P1", "M1")])
     assert hetesim_author_mesh(0, 0, net.m_ap, net.m_mp) == pytest.approx(1.0)
 
 
 def test_hetealloc_full_mask_reduces_to_hetesim():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     full = SparseVector(net.m_ap.n_cols, {i: 1.0 for i in range(net.m_ap.n_cols)})
     for a in range(net.m_ap.n_rows):
         for m in range(net.m_mp.n_rows):
@@ -173,7 +179,7 @@ def test_hetealloc_full_mask_reduces_to_hetesim():
 
 
 def test_hetealloc_own_papers_mask_closed_form():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     for label in ("A1", "A2", "A3"):
         a = net.author(label)
         own = net.m_ap.row(a).binarized()
@@ -185,13 +191,13 @@ def test_hetealloc_own_papers_mask_closed_form():
 
 
 def test_hetealloc_empty_mask_is_zero():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     empty = SparseVector(net.m_ap.n_cols, {})
     assert hetealloc(net.author("A2"), net.mesh("M1"), empty, net.m_ap, net.m_mp) == 0.0
 
 
 def test_subset_ha1_isolated_author():
-    net = PaperNetwork.from_links(
+    net = MatrixNetwork.from_links(
         [("A1", "P1"), ("A1", "P2"), ("A2", "P3")], [("P1", "M1"), ("P2", "M1"), ("P3", "M1")]
     )
     a = net.author("A1")
@@ -199,7 +205,7 @@ def test_subset_ha1_isolated_author():
 
 
 def test_subset_ha2_without_qualifying_coauthors_is_own_papers():
-    net = example_network_1()
+    net = MatrixNetwork.of(example_network_1())
     # A1's only M2 papers are solo, so the mask collapses to A1's own papers
     a = net.author("A1")
     mask = subset_ha2(a, net.mesh("M2"), net.m_ap, net.m_mp)
@@ -207,26 +213,26 @@ def test_subset_ha2_without_qualifying_coauthors_is_own_papers():
 
 
 def test_subset_ha3_masks():
-    net2 = example_network_2()
+    net2 = MatrixNetwork.of(example_network_2())
     mask = subset_ha3(net2.author("A1"), net2.paper("P2"), net2.m_ap)
     assert mask.support() == {net2.paper(p) for p in ("P1", "P2", "P3", "P4", "P5")}
 
     solo = subset_ha3(net2.author("A3"), net2.paper("P6"), net2.m_ap)
     assert solo.support() == net2.m_ap.row(net2.author("A3")).support()
 
-    net3 = example_network_3()
+    net3 = MatrixNetwork.of(example_network_3())
     mask3 = subset_ha3(net3.author("A2"), net3.paper("P2"), net3.m_ap)
     assert mask3.support() == {net3.paper(p) for p in ("P1", "P2", "P3")}
 
 
 def test_subset_ha3_requires_authorship():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     with pytest.raises(ValueError):
         subset_ha3(net.author("A3"), net.paper("P1"), net.m_ap)
 
 
 def test_ha3_aggregations():
-    net = example_network_2()
+    net = MatrixNetwork.of(example_network_2())
     a2, m1 = net.author("A2"), net.mesh("M1")
     assert hetealloc_ha3(a2, m1, net.m_ap, net.m_mp, "average") == pytest.approx(0.973, abs=GOLDEN_TOL)
     assert hetealloc_ha3(a2, m1, net.m_ap, net.m_mp, "sum") == pytest.approx(3.894, abs=GOLDEN_TOL)
@@ -237,18 +243,30 @@ def test_ha3_aggregations():
 
 
 def test_weighted_incidence_splits_weight_across_categories():
-    net = PaperNetwork.from_links(
+    net = MatrixNetwork.from_links(
         [("A1", "P1")], [("P1", "M1"), ("P1", "M2")]
     )
-    w = weighted_incidence(net.m_mp)
+    w = ref.weighted_incidence(net.m_mp)
     p = net.paper("P1")
     assert w.row(net.mesh("M1")).data[p] == pytest.approx(0.5)
     assert w.row(net.mesh("M2")).data[p] == pytest.approx(0.5)
 
 
-def test_weighted_incidence_columns_sum_to_one():
+def test_set_form_weights_split_each_paper_across_its_categories():
     net = example_network_3()
-    per_paper = weighted_incidence(net.m_mp).transpose()
+    weights = weighted_incidence(net.categories_of)
+    assert weights == {p: 1 / len(cats) for p, cats in net.categories_of.items()}
+    assert weights["P3"] == 0.5 and weights["P1"] == 1.0
+
+
+def test_from_links_rejects_category_rows_of_unknown_papers():
+    with pytest.raises(ValueError, match="unknown paper 'P2'"):
+        PaperNetwork.from_links([("A1", "P1")], [("P1", "M1"), ("P2", "M1")])
+
+
+def test_weighted_incidence_columns_sum_to_one():
+    net = MatrixNetwork.of(example_network_3())
+    per_paper = ref.weighted_incidence(net.m_mp).transpose()
     for p in range(net.m_mp.n_cols):
         row = per_paper.row(p)
         assert row.entry_sum() == pytest.approx(1.0)
@@ -256,7 +274,7 @@ def test_weighted_incidence_columns_sum_to_one():
 
 
 def test_reachable_probability_rows_are_subprobability():
-    for net in (example_network_1(), example_network_2(), example_network_3()):
+    for net in _matrix_networks():
         pm = reachable_probability(MetaPath((net.m_ap, net.m_mp.transpose())))
         for a in range(pm.n_rows):
             row = pm.row(a)
@@ -273,15 +291,15 @@ def test_weighted_equals_unweighted_on_single_category_papers():
 
 
 def test_baseline_values():
-    net1 = example_network_1()
+    net1 = MatrixNetwork.of(example_network_1())
     assert baseline_similarity(net1.author("A1"), net1.mesh("M1"), net1.m_ap, net1.m_mp) == pytest.approx(0.577, abs=GOLDEN_TOL)
     assert baseline_similarity(net1.author("A1"), net1.mesh("M2"), net1.m_ap, net1.m_mp) == pytest.approx(0.816, abs=GOLDEN_TOL)
-    net2 = example_network_2()
+    net2 = MatrixNetwork.of(example_network_2())
     assert baseline_similarity(net2.author("A1"), net2.mesh("M1"), net2.m_ap, net2.m_mp) == pytest.approx(1.0)
 
 
 def test_baseline_single_topic_author_scores_one():
-    net = PaperNetwork.from_links(
+    net = MatrixNetwork.from_links(
         [("A1", "P1"), ("A1", "P2")], [("P1", "M1"), ("P2", "M1")]
     )
     assert baseline_similarity(0, 0, net.m_ap, net.m_mp) == 1.0
@@ -289,12 +307,12 @@ def test_baseline_single_topic_author_scores_one():
 
 def test_degenerate_inputs_return_zero_not_errors():
     # an author with papers on no categories of interest, and a category with no papers
-    net = PaperNetwork.from_links(
-        [("A1", "P1"), ("A2", "P2")], [("P1", "M1"), ("P2", "M2")]
-    )
-    a2, m1 = net.author("A2"), net.mesh("M1")
-    assert hetesim_author_mesh(a2, m1, net.m_ap, net.m_mp) == 0.0
-    assert net.score("ha1", "A2", "M1") == 0.0
-    assert net.score("ha2", "A2", "M1") == 0.0
-    assert net.score("ha3", "A2", "M1") == 0.0
-    assert baseline_similarity(a2, m1, net.m_ap, net.m_mp) == 0.0
+    links, mesh = [("A1", "P1"), ("A2", "P2")], [("P1", "M1"), ("P2", "M2")]
+    matrix = MatrixNetwork.from_links(links, mesh)
+    a2, m1 = matrix.author("A2"), matrix.mesh("M1")
+    assert hetesim_author_mesh(a2, m1, matrix.m_ap, matrix.m_mp) == 0.0
+    assert baseline_similarity(a2, m1, matrix.m_ap, matrix.m_mp) == 0.0
+    net = PaperNetwork.from_links(links, mesh)
+    for method in ("bl", "hetesim", "ha1", "ha2", "ha3"):
+        assert net.score(method, "A2", "M1") == 0.0
+        assert matrix.score(method, "A2", "M1") == 0.0

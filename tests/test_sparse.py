@@ -5,19 +5,17 @@ from hinalloc.sparse import (
     ShapeMismatchError,
     SparseIncidence,
     SparseVector,
-    elementwise_product,
-    entry_sum,
 )
 
 
 def test_elementwise_product_intersects_supports():
     u = SparseVector.from_dense([1, 0, 1])
     v = SparseVector.from_dense([1, 1, 0])
-    assert elementwise_product(u, v).to_dense() == [1, 0, 0]
+    assert u.hadamard(v).to_dense() == [1, 0, 0]
 
 
 def test_entry_sum():
-    assert entry_sum(SparseVector.from_dense([1, 0, 1])) == 2
+    assert SparseVector.from_dense([1, 0, 1]).entry_sum() == 2
 
 
 def test_dimension_mismatch_raises():
