@@ -132,21 +132,19 @@ def _static_snapshots(dataset, config: RunConfig) -> dict[int, dict[str, dict[st
     """Per-year static scores over the cumulative network of papers up to each year."""
     snapshots: dict[int, dict[str, dict[str, float]]] = {}
     timeline = dataset.timeline
-    for year in range(config.first_year, config.last_year + 1):
-        links = [
-            (author, key)
-            for y in timeline.links_by_year
-            if y <= year
-            for author, key in timeline.links_by_year[y]
-        ]
+    links: list = []
+    mesh_pairs: list = []
+    for year in range(min([config.first_year, *timeline.links_by_year]), config.last_year + 1):
+        new_links = timeline.links_by_year.get(year, [])
+        links.extend(new_links)
+        for key in sorted({key for _, key in new_links}):
+            for category in sorted(timeline.mesh_by_paper.get(key, {})):
+                mesh_pairs.append((key, category))
+        if year < config.first_year:
+            continue
         if not links:
             snapshots[year] = {}
             continue
-        mesh_pairs = []
-        paper_keys = {key for _, key in links}
-        for key in sorted(paper_keys):
-            for category in sorted(timeline.mesh_by_paper.get(key, {})):
-                mesh_pairs.append((key, category))
         net = PaperNetwork.from_links(links, mesh_pairs)
         per_author: dict[str, dict[str, float]] = {}
         for author in sorted(net.papers_of):

@@ -9,8 +9,9 @@ Two methods share the same ledger discipline:
   category's papers inside the paper's collaboration subset, so credit flows
   to the co-authors with matching experience.
 
-All of a year's papers are treated as simultaneous: the experience matrix is
-frozen once per year, which makes results independent of processing order.
+Both are counts over label sets: per-author paper sets and per-paper category
+sets. All of a year's papers are treated as simultaneous: the experience sets
+are frozen once per year, which makes results independent of processing order.
 """
 
 from __future__ import annotations
@@ -18,8 +19,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .ledger import PaperKey, Timeline, YearLedger, materialize_year
-from .sparse import SparseIncidence, SparseVector
+from .ledger import PaperKey, Timeline, YearLedger, YearSets, categories_by_paper, materialize_year
+from .similarity import _mass, _square_mass
 
 
 class YearOrderError(ValueError):
@@ -64,70 +65,66 @@ class ExpertiseStore:
 
 @dataclass
 class DhaYearInput:
-    """Frozen matrices for one year's allocation pass."""
+    """One year's label sets, with each update paper's mask sums cached."""
 
-    m_experience: SparseIncidence  # author x paper, strictly pre-year
-    m_update: SparseIncidence  # author x paper, current year
-    m_update_t: SparseIncidence  # paper x author view of the update links
-    m_mesh: SparseIncidence  # category x paper
-    m_mesh_t: SparseIncidence  # paper x category view
-    m_mesh_weighted: SparseIncidence
-    store: object  # NodeStore for label resolution
+    sets: YearSets
+    _weights: dict | None = field(default=None, init=False, repr=False)
+    _squares: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_ledger(cls, ledger: YearLedger) -> DhaYearInput:
-        mats = materialize_year(ledger)
-        mesh_t = mats.m_mesh.transpose()
-        for cells in mats.m_update.rows.values():
-            for p in cells:
-                if not mesh_t.rows.get(p):
-                    label = mats.store.papers.label_of(p)
-                    raise DhaInputError(f"update paper {label!r} has no category link")
-        return cls(
-            mats.m_experience,
-            mats.m_update,
-            mats.m_update.transpose(),
-            mats.m_mesh,
-            mesh_t,
-            mats.m_mesh_weighted,
-            mats.store,
-        )
+        sets = materialize_year(ledger)
+        missing = sorted(p for p in sets.authors_of if not sets.categories_of.get(p))
+        if missing:
+            raise DhaInputError(f"update paper {missing[0]!r} has no category link")
+        return cls(sets)
 
-    def mesh_indices_of(self, paper: int) -> list[int]:
-        return sorted(self.m_mesh_t.rows.get(paper, {}))
+    def weights(self, weighted: bool) -> dict | None:
+        """Paper -> 1/|categories| when weighted, else None (every weight is 1)."""
+        if weighted and self._weights is None:
+            self._weights = {p: 1.0 / len(cats) for p, cats in self.sets.categories_of.items()}
+        return self._weights if weighted else None
 
-
-def _collab_subset(inp: DhaYearInput, paper: int) -> SparseVector:
-    """Union of the experience papers of the paper's authors, plus the paper itself."""
-    vsub = inp.m_update_t.row(paper).vecmat(inp.m_experience)
-    return vsub.plus(SparseVector.unit(inp.m_experience.n_cols, paper)).binarized()
+    def square_masses(self, paper: PaperKey, weighted: bool) -> dict[str, float]:
+        """Σ_{S_p∩M_m} w² for each category m of the paper, where the mask S_p is
+        the prior papers of the paper's authors plus the paper itself."""
+        key = (paper, weighted)
+        if key not in self._squares:
+            sets = self.sets
+            mask = set().union(*(sets.papers_of.get(x, ()) for x in sets.authors_of[paper]))
+            mask.add(paper)
+            weights = self.weights(weighted)
+            self._squares[key] = {
+                m: _square_mass([q for q in mask if m in sets.categories_of[q]], weights)
+                for m in sets.categories_of[paper]
+            }
+        return self._squares[key]
 
 
 def dha_paper(
-    inp: DhaYearInput, a: int, p: int, m: int, weighted: bool = False
+    inp: DhaYearInput, a: str, p: PaperKey, m: str, weighted: bool = False
 ) -> float:
-    """Credit author a earns on category m from current-year paper p."""
-    if p not in inp.m_update.rows.get(a, {}):
-        raise DhaInputError(f"paper {p} is not an update paper of author {a}")
-    mesh_matrix = inp.m_mesh_weighted if weighted else inp.m_mesh
-    mesh_row = mesh_matrix.row(m)
-    if p not in inp.m_mesh.rows.get(m, {}):
-        raise DhaInputError(f"paper {p} does not carry category {m}")
-    u = inp.m_experience.row(a).plus(SparseVector.unit(inp.m_experience.n_cols, p))
-    v = _collab_subset(inp, p).hadamard(mesh_row)
-    num = u.dot(v)
-    if not num:
-        return 0.0
-    return num / math.sqrt(u.sum_of_squares() * v.sum_of_squares())
+    """Credit author a earns on category m from current-year paper p:
+    Σ_{E⁺∩M_m} w / sqrt(|E⁺| · Σ_{S_p∩M_m} w²), E⁺ being a's prior papers plus p."""
+    sets = inp.sets
+    if p not in sets.update_of.get(a, ()):
+        raise DhaInputError(f"paper {p!r} is not an update paper of author {a!r}")
+    if m not in sets.categories_of[p]:
+        raise DhaInputError(f"paper {p!r} does not carry category {m!r}")
+    prior = sets.papers_of.get(a, ())
+    focal = [q for q in prior if m in sets.categories_of[q]]
+    focal.append(p)
+    num = _mass(focal, inp.weights(weighted))
+    return num / math.sqrt((len(prior) + 1) * inp.square_masses(p, weighted)[m])
 
 
-def dha_author_year(inp: DhaYearInput, a: int, weighted: bool = False) -> dict[int, float]:
+def dha_author_year(inp: DhaYearInput, a: str, weighted: bool = False) -> dict[str, float]:
     """Sum per-paper credit over all of the author's current-year papers."""
-    increments: dict[int, float] = {}
-    for p in sorted(inp.m_update.rows.get(a, {})):
-        for m in inp.mesh_indices_of(p):
+    increments: dict[str, float] = {}
+    for p in sorted(inp.sets.update_of.get(a, ())):
+        for m in sorted(inp.sets.categories_of[p]):
             increments[m] = increments.get(m, 0.0) + dha_paper(inp, a, p, m, weighted)
-    return increments
+    return dict(sorted(increments.items()))
 
 
 def run_year_dha(
@@ -136,18 +133,12 @@ def run_year_dha(
     """Apply one year of dynamic allocation and fold the year into experience.
 
     Every author of the year is evaluated against the same frozen experience
-    matrix; increments are applied in a fixed order, so the outcome does not
+    sets; increments are applied in a fixed order, so the outcome does not
     depend on link order.
     """
     store.check_year(ledger.year)
     inp = DhaYearInput.from_ledger(ledger)
-    increments: dict[str, dict[str, float]] = {}
-    for a in sorted(a for a, cells in inp.m_update.rows.items() if cells):
-        per_mesh = dha_author_year(inp, a, weighted)
-        label = inp.store.authors.label_of(a)
-        increments[label] = {
-            inp.store.meshes.label_of(m): inc for m, inc in sorted(per_mesh.items())
-        }
+    increments = {a: dha_author_year(inp, a, weighted) for a in sorted(inp.sets.update_of)}
     store.apply_increments(ledger.year, increments)
     return store
 
@@ -156,11 +147,7 @@ def run_year_bl(store: ExpertiseStore, ledger: YearLedger) -> ExpertiseStore:
     """Apply one year of cumulative counting: +1 per (author, paper, category)."""
     store.check_year(ledger.year)
     ledger.validate()
-    categories_of: dict[PaperKey, list[str]] = {}
-    for p, m, _ in ledger.paper_mesh_links:
-        cats = categories_of.setdefault(p, [])
-        if m not in cats:
-            cats.append(m)
+    categories_of = categories_by_paper(ledger.paper_mesh_links)
     increments: dict[str, dict[str, float]] = {}
     for author, paper in ledger.update_links:
         profile = increments.setdefault(author, {})

@@ -1,20 +1,17 @@
-"""Yearly link ledger and materialization into shared-index incidence matrices.
+"""Yearly link ledger and its grouping into label sets.
 
 A paper's identity is the pair (label, year): publication lists reuse labels
 across years, and each year's batch is a fresh set of paper nodes. The ledger
 splits author-paper links into the cumulative pre-year list and the current
-year's list; materializing a year freezes both into matrices over one shared
-author index and one shared paper index, then folds the current year into the
-cumulative list.
+year's list; materializing a year groups both lists into per-author paper sets,
+per-paper author sets and per-paper categories, then folds the current year
+into the cumulative list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
 from typing import Mapping
-
-from .nodes import NodeStore, NodeType
-from .sparse import SparseIncidence
 
 # (label, year) pair identifying one paper node
 PaperKey = tuple[str, int]
@@ -52,67 +49,45 @@ class YearLedger:
 
 
 @dataclass
-class YearMatrices:
-    """Frozen matrices for one year over shared author and paper index spaces."""
+class YearSets:
+    """One year's links grouped by label."""
 
-    m_experience: SparseIncidence  # author x paper, all years strictly before
-    m_update: SparseIncidence  # author x paper, current year
-    m_mesh: SparseIncidence  # category x paper, unit entries
-    m_mesh_weighted: SparseIncidence  # category x paper, columns sum to 1
-    store: NodeStore
+    papers_of: dict[str, set[PaperKey]]  # author -> papers of all years strictly before
+    update_of: dict[str, set[PaperKey]]  # author -> papers of the current year
+    authors_of: dict[PaperKey, set[str]]  # current-year paper -> authors
+    categories_of: dict[PaperKey, list[str]]  # paper of either list -> distinct categories
 
 
-def materialize_year(ledger: YearLedger) -> YearMatrices:
-    """Freeze the ledger into matrices, then fold the update list into experience.
+def categories_by_paper(paper_mesh_links) -> dict[PaperKey, list[str]]:
+    """Paper -> its distinct categories in link order, from (paper, category,
+    weight) links; weights are ignored."""
+    categories_of: dict[PaperKey, list[str]] = {}
+    for p, m, _ in paper_mesh_links:
+        cats = categories_of.setdefault(p, [])
+        if m not in cats:
+            cats.append(m)
+    return categories_of
 
-    Both matrices share one author index and one paper index covering the union
-    of papers from both lists. After the call the ledger's experience list is
-    the union of the two lists and the update list is cleared.
+
+def materialize_year(ledger: YearLedger) -> YearSets:
+    """Group the ledger into label sets, then fold the update list into experience.
+
+    After the call the ledger's experience list is the union of the two lists
+    and the update list is cleared.
     """
     ledger.validate()
-    store = NodeStore()
-    authors = sorted({a for a, _ in ledger.experience_links} | {a for a, _ in ledger.update_links})
-    papers = sorted({p for _, p in ledger.experience_links} | {p for _, p in ledger.update_links})
-    for a in authors:
-        store.intern(a, NodeType.AUTHOR)
-    for p in papers:
-        store.intern(p, NodeType.PAPER)
-
-    n_a, n_p = len(authors), len(papers)
-    m_experience = SparseIncidence.from_entries(
-        n_a,
-        n_p,
-        ((store.authors.index_of(a), store.papers.index_of(p)) for a, p in ledger.experience_links),
-    )
-    m_update = SparseIncidence.from_entries(
-        n_a,
-        n_p,
-        ((store.authors.index_of(a), store.papers.index_of(p)) for a, p in ledger.update_links),
-    )
-
-    categories = sorted({m for _, m, _ in ledger.paper_mesh_links})
-    for m in categories:
-        store.intern(m, NodeType.MESH)
-    mesh_entries = [
-        (store.meshes.index_of(m), store.papers.index_of(p), w)
-        for p, m, w in ledger.paper_mesh_links
-        if p in store.papers
-    ]
-    # unit entries regardless of supplied weights; the weighted view is derived
-    m_mesh = SparseIncidence.from_entries(len(categories), n_p, mesh_entries)
-    m_mesh_weighted = m_mesh.column_normalized()
-
+    papers_of: dict[str, set[PaperKey]] = {}
+    for a, p in ledger.experience_links:
+        papers_of.setdefault(a, set()).add(p)
+    update_of: dict[str, set[PaperKey]] = {}
+    authors_of: dict[PaperKey, set[str]] = {}
+    for a, p in ledger.update_links:
+        update_of.setdefault(a, set()).add(p)
+        authors_of.setdefault(p, set()).add(a)
+    sets = YearSets(papers_of, update_of, authors_of, categories_by_paper(ledger.paper_mesh_links))
     ledger.experience_links = ledger.experience_links + ledger.update_links
     ledger.update_links = []
-    return YearMatrices(m_experience, m_update, m_mesh, m_mesh_weighted, store)
-
-
-def links_as_set(matrix: SparseIncidence, row_interner, col_interner) -> set[tuple]:
-    """Re-extract the distinct (row_label, col_label) link set from a matrix."""
-    return {
-        (row_interner.label_of(r), col_interner.label_of(c))
-        for r, c, _ in matrix.entries()
-    }
+    return sets
 
 
 @dataclass

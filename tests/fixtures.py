@@ -13,8 +13,8 @@ from __future__ import annotations
 
 from pathlib import Path
 
-from .ledger import Timeline
-from .similarity import PaperNetwork
+from hinalloc.ledger import Timeline
+from hinalloc.similarity import PaperNetwork
 
 # ---------------------------------------------------------------------------
 # static example networks

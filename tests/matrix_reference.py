@@ -13,9 +13,10 @@ import math
 from dataclasses import dataclass
 from typing import Iterable
 
-from hinalloc.nodes import NodeStore
 from hinalloc.similarity import AGGREGATIONS, AVERAGE, PaperNetwork
-from hinalloc.sparse import ShapeMismatchError, SparseIncidence, SparseVector
+
+from nodes import NodeStore
+from sparse import ShapeMismatchError, SparseIncidence, SparseVector
 
 
 def build_incidence(

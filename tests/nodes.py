@@ -1,4 +1,8 @@
-"""Node interning: dense integer indices per node type (author, paper, topic category)."""
+"""Node interning: dense integer indices per node type (author, paper, topic category).
+
+Only the matrix-form reference (``matrix_reference.py``) interns labels; the
+package keys everything by label.
+"""
 
 from __future__ import annotations
 

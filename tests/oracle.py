@@ -123,30 +123,35 @@ def baseline(net: OracleNet, a: str, m: str) -> float:
 # ---------------------------------------------------------------------------
 # yearly engine reference
 
-def dha_replay(years: list[list[tuple[str, frozenset[str], frozenset[str]]]]):
+def dha_replay(years: list[list[tuple[str, frozenset[str], frozenset[str]]]], weighted: bool = False):
     """Replay (label, authors, categories) batches; returns per-year cumulative stores.
 
-    Set-theoretic counting route: per paper and author, credit on category m is
-    (own prior papers with m + 1) over sqrt((own prior papers + 1) times
-    (co-author-union prior papers with m + 1)).
+    Set-theoretic counting route: per paper p and author a, credit on category m
+    is Σ w over a's prior papers plus p that carry m, over sqrt((a's prior papers
+    + 1) times Σ w² over the co-author-union prior papers plus p that carry m),
+    with w = 1, or w_q = 1/|categories of q| when weighted.
     """
     experience: dict[str, set] = {}
     store: dict[str, dict[str, float]] = {}
     mesh_of: dict = {}
     snapshots = []
+
+    def w(q) -> float:
+        return 1.0 / len(mesh_of[q]) if weighted else 1.0
+
     for batch in years:
         increments: dict[str, dict[str, float]] = {}
         for label, auths, cats in batch:
             mesh_of[label] = cats
-            union_exp = set()
+            mask = {label}
             for x in auths:
-                union_exp |= experience.get(x, set())
+                mask |= experience.get(x, set())
             for a in auths:
-                own = experience.get(a, set())
+                own = experience.get(a, set()) | {label}
                 for m in cats:
-                    own_m = sum(1 for q in own if m in mesh_of[q])
-                    union_m = sum(1 for q in union_exp if m in mesh_of[q])
-                    value = (own_m + 1) / math.sqrt((len(own) + 1) * (union_m + 1))
+                    num = sum(w(q) for q in own if m in mesh_of[q])
+                    norm_sq = sum(w(q) ** 2 for q in mask if m in mesh_of[q])
+                    value = num / math.sqrt(len(own) * norm_sq)
                     increments.setdefault(a, {}).setdefault(m, 0.0)
                     increments[a][m] += value
         for a, per_cat in increments.items():

@@ -10,10 +10,10 @@ import random
 
 from hinalloc.dynamic import run_series
 from hinalloc.similarity import SUM
-from hinalloc.sparse import SparseVector
 
 import oracle
 from matrix_reference import MatrixNetwork, hetealloc
+from sparse import SparseVector
 
 EPS = 1e-9
 
@@ -121,16 +121,16 @@ def check_matrix_vs_oracle(net: oracle.OracleNet) -> None:
                     type(form).__name__, method, weighted, aggregation, a, m, got, want)
 
 
-def check_dha_order_independence(batches, rng: random.Random) -> None:
+def check_dha_order_independence(batches, rng: random.Random, weighted: bool = False) -> None:
     """Shuffling links within each year leaves the yearly engine's output unchanged."""
     timeline = oracle.batches_to_timeline(batches)
-    store_a, _ = run_series("dha", timeline)
+    store_a, _ = run_series("dha", timeline, weighted=weighted)
     shuffled = {
         year: rng.sample(links, len(links)) for year, links in timeline.links_by_year.items()
     }
     timeline_b = oracle.batches_to_timeline(batches)
     timeline_b.links_by_year = shuffled
-    store_b, _ = run_series("dha", timeline_b)
+    store_b, _ = run_series("dha", timeline_b, weighted=weighted)
     assert store_a.snapshots == store_b.snapshots
 
 
@@ -155,11 +155,11 @@ def check_store_monotonic_and_bl_bound(batches) -> None:
                 assert dha_inc <= bl_inc + EPS, (a, cat, dha_inc, bl_inc)
 
 
-def check_dha_vs_oracle(batches) -> None:
-    """The matrix-form yearly engine matches the set-counting replay."""
+def check_dha_vs_oracle(batches, weighted: bool = False) -> None:
+    """The yearly engine matches the set-counting replay."""
     timeline = oracle.batches_to_timeline(batches)
-    store, _ = run_series("dha", timeline)
-    reference = oracle.dha_replay([list(batch) for batch in batches])
+    store, _ = run_series("dha", timeline, weighted=weighted)
+    reference = oracle.dha_replay([list(batch) for batch in batches], weighted)
     years = sorted(store.snapshots)
     for year, ref in zip(years, reference):
         snap = store.snapshots[year]

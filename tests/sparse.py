@@ -1,7 +1,8 @@
 """Sparse row-indexed incidence matrices and the vector kernels built on them.
 
-The yearly engine runs on these two types; the static scores count label sets
-instead. Entries are strictly positive; absent means zero.
+The matrix-form reference (``matrix_reference.py``) runs on these two types;
+the package itself counts label sets. Entries are strictly positive; absent
+means zero.
 """
 
 from __future__ import annotations

@@ -16,7 +16,13 @@ import pytest
 
 from hinalloc.cli import main
 from hinalloc.dynamic import run_series
-from hinalloc.fixtures import (
+from hinalloc.metrics import histogram, max_min_ratio, normalized_max
+from hinalloc.similarity import SUM
+from hinalloc.synth import CorpusSpec, generate_corpus
+
+import oracle
+import propchecks
+from fixtures import (
     AUTHOR_ORDER,
     CATEGORY_ORDER,
     NETWORK_3_GATED,
@@ -33,12 +39,6 @@ from hinalloc.fixtures import (
     score_for_table,
     store_matrix,
 )
-from hinalloc.metrics import histogram, max_min_ratio, normalized_max
-from hinalloc.similarity import SUM
-from hinalloc.synth import CorpusSpec, generate_corpus
-
-import oracle
-import propchecks
 from matrix_reference import MatrixNetwork, hetealloc_ha1, hetealloc_ha2, hetealloc_ha3, hetesim_author_mesh
 
 GOLDEN_TOL = 1e-3

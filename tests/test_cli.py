@@ -4,7 +4,8 @@ from pathlib import Path
 import pytest
 
 from hinalloc.cli import main
-from hinalloc.fixtures import (
+
+from fixtures import (
     REFERENCE_BL,
     REFERENCE_DHA,
     store_matrix,

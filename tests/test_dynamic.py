@@ -13,7 +13,10 @@ from hinalloc.dynamic import (
     run_year_bl,
     run_year_dha,
 )
-from hinalloc.fixtures import (
+from hinalloc.ledger import Timeline, YearLedger
+
+import oracle
+from fixtures import (
     AUTHOR_ORDER,
     CATEGORY_ORDER,
     REFERENCE_BL,
@@ -22,14 +25,11 @@ from hinalloc.fixtures import (
     illustrative_timeline,
     store_matrix,
 )
-from hinalloc.ledger import Timeline, YearLedger
-
-import oracle
 from matrix_reference import MatrixNetwork
 
 
 def _single_year_input(batch, experience=()):
-    """Materialize one year with optional (author, paper, cats) experience triples."""
+    """Materialize one year with optional (paper, author, cats) experience triples."""
     mesh = {}
     exp_links = []
     for label, author, cats in experience:
@@ -50,23 +50,15 @@ def _single_year_input(batch, experience=()):
 
 def test_dha_brand_new_solo_author_scores_one():
     inp = _single_year_input([("P1", ("A1",), ("M01",))])
-    a = inp.store.authors.index_of("A1")
-    p = inp.store.papers.index_of(("P1", 1))
-    m = inp.store.meshes.index_of("M01")
-    assert dha_paper(inp, a, p, m) == pytest.approx(1.0)
+    assert dha_paper(inp, "A1", ("P1", 1), "M01") == pytest.approx(1.0)
 
 
 def test_dha_paper_preconditions():
     inp = _single_year_input([("P1", ("A1",), ("M01",)), ("P2", ("A2",), ("M02",))])
-    a1 = inp.store.authors.index_of("A1")
-    p2 = inp.store.papers.index_of(("P2", 1))
-    m1 = inp.store.meshes.index_of("M01")
     with pytest.raises(DhaInputError):
-        dha_paper(inp, a1, p2, m1)  # not A1's paper
-    p1 = inp.store.papers.index_of(("P1", 1))
-    m2 = inp.store.meshes.index_of("M02")
+        dha_paper(inp, "A1", ("P2", 1), "M01")  # not A1's paper
     with pytest.raises(DhaInputError):
-        dha_paper(inp, a1, p1, m2)  # P1 does not carry M02
+        dha_paper(inp, "A1", ("P1", 1), "M02")  # P1 does not carry M02
 
 
 def test_dha_update_paper_without_category_rejected():
@@ -80,14 +72,23 @@ def test_dha_author_year_additivity():
         ("P1", ("A1",), ("M01",)),
         ("P2", ("A1",), ("M01", "M02")),
     ])
-    a = inp.store.authors.index_of("A1")
-    per_mesh = dha_author_year(inp, a)
-    m1 = inp.store.meshes.index_of("M01")
-    m2 = inp.store.meshes.index_of("M02")
-    p1 = inp.store.papers.index_of(("P1", 1))
-    p2 = inp.store.papers.index_of(("P2", 1))
-    assert per_mesh[m1] == pytest.approx(dha_paper(inp, a, p1, m1) + dha_paper(inp, a, p2, m1))
-    assert per_mesh[m2] == pytest.approx(dha_paper(inp, a, p2, m2))
+    p1, p2 = ("P1", 1), ("P2", 1)
+    for weighted in (False, True):
+        per_mesh = dha_author_year(inp, "A1", weighted)
+        assert per_mesh["M01"] == pytest.approx(
+            dha_paper(inp, "A1", p1, "M01", weighted) + dha_paper(inp, "A1", p2, "M01", weighted))
+        assert per_mesh["M02"] == pytest.approx(dha_paper(inp, "A1", p2, "M02", weighted))
+
+
+def test_dha_weighted_credit_splits_multi_category_papers():
+    # A2's prior paper Q carries M01 and M02 (w = 1/2); the shared paper P
+    # carries M01 only (w = 1); A1 has no history
+    inp = _single_year_input([("P", ("A1", "A2"), ("M01",))],
+                             experience=[("Q", "A2", ("M01", "M02"))])
+    p = ("P", 1)
+    assert dha_paper(inp, "A1", p, "M01") == pytest.approx(1 / math.sqrt(2))
+    assert dha_paper(inp, "A1", p, "M01", weighted=True) == pytest.approx(1 / math.sqrt(1.25))
+    assert dha_paper(inp, "A2", p, "M01", weighted=True) == pytest.approx(1.5 / math.sqrt(2 * 1.25))
 
 
 def test_dha_year_one_equals_count_matrix():
@@ -132,16 +133,17 @@ def test_dha_matches_set_theoretic_replay_on_fixture():
          for label, authors, cats in illustrative_publications(year)]
         for year in range(1, 11)
     ]
-    reference = oracle.dha_replay(batches)
-    store, _ = run_series("dha", illustrative_timeline())
-    for year, ref in zip(range(1, 11), reference):
-        snap = store.snapshot(year)
-        for a in AUTHOR_ORDER:
-            for c in CATEGORY_ORDER:
-                assert math.isclose(
-                    snap.get(a, {}).get(c, 0.0), ref.get(a, {}).get(c, 0.0),
-                    rel_tol=1e-9, abs_tol=1e-12,
-                ), (year, a, c)
+    for weighted in (False, True):
+        reference = oracle.dha_replay(batches, weighted)
+        store, _ = run_series("dha", illustrative_timeline(), weighted=weighted)
+        for year, ref in zip(range(1, 11), reference):
+            snap = store.snapshot(year)
+            for a in AUTHOR_ORDER:
+                for c in CATEGORY_ORDER:
+                    assert math.isclose(
+                        snap.get(a, {}).get(c, 0.0), ref.get(a, {}).get(c, 0.0),
+                        rel_tol=1e-9, abs_tol=1e-12,
+                    ), (weighted, year, a, c)
 
 
 def test_out_of_order_year_rejected():

@@ -1,15 +1,23 @@
 import pytest
 
-from hinalloc.ledger import (
-    LedgerError,
-    YearLedger,
-    links_as_set,
-    materialize_year,
-)
-from hinalloc.fixtures import illustrative_publications, illustrative_timeline
-from hinalloc.nodes import NodeStore
+from hinalloc.ledger import LedgerError, YearLedger, materialize_year
 
+from fixtures import illustrative_publications, illustrative_timeline
 from matrix_reference import build_incidence
+from nodes import NodeStore
+
+
+def _links(sets_of):
+    """The distinct (key, value) pairs of a key -> set mapping."""
+    return {(k, v) for k, values in sets_of.items() for v in values}
+
+
+def links_as_set(matrix, row_interner, col_interner) -> set[tuple]:
+    """Re-extract the distinct (row_label, col_label) link set from a matrix."""
+    return {
+        (row_interner.label_of(r), col_interner.label_of(c))
+        for r, c, _ in matrix.entries()
+    }
 
 
 def _year_links(year):
@@ -52,9 +60,11 @@ def test_build_incidence_round_trip():
 
 def test_materialize_first_year():
     ledger = illustrative_timeline().ledger_for(1, [])
-    mats = materialize_year(ledger)
-    assert mats.m_experience.nnz() == 0
-    assert mats.m_update.nnz() == 6
+    sets = materialize_year(ledger)
+    assert sets.papers_of == {}
+    assert _links(sets.update_of) == set(_year_links(1))
+    assert {(a, p) for p, a in _links(sets.authors_of)} == set(_year_links(1))
+    assert set(sets.categories_of) == {p for _, p in _year_links(1)}
     assert ledger.update_links == []
     assert len(ledger.experience_links) == 6
 
@@ -64,12 +74,13 @@ def test_materialize_second_year_disjoint_paper_spaces():
     ledger = timeline.ledger_for(1, [])
     materialize_year(ledger)
     ledger2 = timeline.ledger_for(2, ledger.experience_links)
-    mats = materialize_year(ledger2)
-    assert mats.m_experience.nnz() == 6
-    assert mats.m_update.nnz() == 6
-    exp_papers = {c for cells in mats.m_experience.rows.values() for c in cells}
-    upd_papers = {c for cells in mats.m_update.rows.values() for c in cells}
+    sets = materialize_year(ledger2)
+    assert _links(sets.papers_of) == set(_year_links(1))
+    assert _links(sets.update_of) == set(_year_links(2))
+    exp_papers = {p for _, p in _links(sets.papers_of)}
+    upd_papers = {p for _, p in _links(sets.update_of)}
     assert exp_papers.isdisjoint(upd_papers)
+    assert set(sets.categories_of) == exp_papers | upd_papers
 
 
 def test_materialize_empty_year():
@@ -77,9 +88,9 @@ def test_materialize_empty_year():
     ledger = timeline.ledger_for(1, [])
     materialize_year(ledger)
     empty = timeline.ledger_for(99, ledger.experience_links)
-    mats = materialize_year(empty)
-    assert mats.m_update.nnz() == 0
-    assert mats.m_experience.nnz() == 6
+    sets = materialize_year(empty)
+    assert sets.update_of == {} and sets.authors_of == {}
+    assert _links(sets.papers_of) == set(_year_links(1))
 
 
 def test_materialize_is_associative_over_years():
@@ -92,9 +103,9 @@ def test_materialize_is_associative_over_years():
 
     merged = [link for year in range(1, 6) for link in _year_links(year)]
     all_at_once = YearLedger(6, [], merged, timeline.ledger_for(6, merged).paper_mesh_links)
-    mats = materialize_year(all_at_once)
+    sets = materialize_year(all_at_once)
     assert set(experience) == set(all_at_once.experience_links)
-    assert mats.m_update.nnz() == len(set(merged))
+    assert _links(sets.update_of) == set(merged)
 
 
 def test_ledger_rejects_overlapping_lists():
@@ -115,22 +126,21 @@ def test_ledger_requires_mesh_for_every_paper():
         ledger.validate()
 
 
-def test_matmul_counts_equal_first_year_matrix():
-    # author-paper times paper-category products give the year-one count matrix
-    timeline = illustrative_timeline()
-    mats = materialize_year(timeline.ledger_for(1, []))
-    counts = mats.m_update.matmul(mats.m_mesh.transpose())
-    want = {
+def test_first_year_counts_equal_count_matrix():
+    # per author, the first year's papers counted per category give the
+    # year-one count matrix
+    sets = materialize_year(illustrative_timeline().ledger_for(1, []))
+    got = {}
+    for a, papers in sets.update_of.items():
+        for p in papers:
+            for m in sets.categories_of[p]:
+                got[a, m] = got.get((a, m), 0) + 1
+    assert got == {
         ("A1", "M02"): 1, ("A1", "M03"): 1,
         ("A2", "M01"): 2, ("A2", "M03"): 1,
         ("A3", "M02"): 2, ("A3", "M03"): 1,
         ("A4", "M01"): 1, ("A4", "M03"): 1,
     }
-    got = {
-        (mats.store.authors.label_of(r), mats.store.meshes.label_of(c)): v
-        for r, c, v in counts.entries()
-    }
-    assert got == {k: float(v) for k, v in want.items()}
 
 
 def test_row_sum_counts_distinct_papers():

@@ -3,7 +3,6 @@ import math
 import pytest
 
 from hinalloc.dynamic import run_series
-from hinalloc.fixtures import illustrative_timeline
 from hinalloc.metrics import (
     EmptyProfileError,
     format_histogram,
@@ -15,6 +14,8 @@ from hinalloc.metrics import (
     productive_filter,
     yearly_summary,
 )
+
+from fixtures import illustrative_timeline
 
 
 def test_max_min_ratio():

@@ -1,6 +1,6 @@
 import pytest
 
-from hinalloc.nodes import NodeStore, NodeType
+from nodes import NodeStore, NodeType
 
 
 def test_interning_is_idempotent():

@@ -86,6 +86,12 @@ def test_yearly_engine_order_independent(batches, seed):
 
 
 @SETTINGS
+@given(batch_series(), st.integers(0, 2**32 - 1))
+def test_weighted_yearly_engine_order_independent(batches, seed):
+    propchecks.check_dha_order_independence(batches, random.Random(seed), weighted=True)
+
+
+@SETTINGS
 @given(batch_series())
 def test_stores_monotone_and_bounded_by_counts(batches):
     propchecks.check_store_monotonic_and_bl_bound(batches)
@@ -95,3 +101,9 @@ def test_stores_monotone_and_bounded_by_counts(batches):
 @given(batch_series())
 def test_yearly_engine_matches_set_replay(batches):
     propchecks.check_dha_vs_oracle(batches)
+
+
+@SETTINGS
+@given(batch_series())
+def test_weighted_yearly_engine_matches_set_replay(batches):
+    propchecks.check_dha_vs_oracle(batches, weighted=True)

@@ -2,7 +2,10 @@ import math
 
 import pytest
 
-from hinalloc.fixtures import (
+from hinalloc.similarity import PaperNetwork, weighted_incidence
+
+import matrix_reference as ref
+from fixtures import (
     NETWORK_3_GATED,
     TABLE_METHODS,
     TABLE_NETWORK_1,
@@ -14,10 +17,6 @@ from hinalloc.fixtures import (
     illustrative_timeline,
     score_for_table,
 )
-from hinalloc.similarity import PaperNetwork, weighted_incidence
-from hinalloc.sparse import SparseIncidence, SparseVector
-
-import matrix_reference as ref
 from matrix_reference import (
     MatrixNetwork,
     MetaPath,
@@ -33,6 +32,7 @@ from matrix_reference import (
     subset_ha3,
     transition_matrix,
 )
+from sparse import SparseIncidence, SparseVector
 
 GOLDEN_TOL = 1e-3
 

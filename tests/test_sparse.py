@@ -1,6 +1,6 @@
 import pytest
 
-from hinalloc.sparse import (
+from sparse import (
     ConflictingWeightError,
     ShapeMismatchError,
     SparseIncidence,
