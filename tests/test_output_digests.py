@@ -1,10 +1,12 @@
-"""Byte-level pins on every method's snapshot output.
+"""Byte-level pins on every method's snapshot output and on compare's tables.
 
 All 13 variants run through the CLI on one small synthetic corpus, and the
 SHA-256 of each snapshot file must equal the digest recorded in
-``output_digests.json``. Any rewrite of a kernel has to reproduce these bytes;
-editing the digest file is a change of output and needs a CHANGES.md entry
-that says why.
+``output_digests.json``. ``compare dha.jsonl bl.jsonl`` on the same corpus is
+pinned the same way, under ``compare/<file>`` keys: its summary table and its
+20 histograms. Any rewrite of a kernel, the snapshot writer or the compare
+measures has to reproduce these bytes; editing the digest file is a change of
+output and needs a CHANGES.md entry that says why.
 """
 
 import hashlib
@@ -22,6 +24,12 @@ BENCH_DIGESTS = HERE.parent / "perfbench" / "digests.json"
 
 SPEC = CorpusSpec(seed=1, n_authors=200, n_papers=1000, n_years=10)
 YEARS = "0:10"
+# a threshold low enough that every compare year has productive authors, so
+# each histogram pins real counts
+COMPARE_ARGS = ("--years", "1:10", "--min-papers", "3")
+COMPARE_FILES = ["summary.tsv"] + [
+    f"hist_{label}_{year}.tsv" for label in ("dha", "bl") for year in range(1, 11)
+]
 
 # output file -> extra `run` arguments
 VARIANTS = {
@@ -50,7 +58,7 @@ def corpus_args(tmp_path_factory):
 
 
 def test_digest_file_covers_every_variant():
-    assert sorted(DIGESTS) == sorted(VARIANTS)
+    assert sorted(DIGESTS) == sorted([*VARIANTS, *(f"compare/{name}" for name in COMPARE_FILES)])
 
 
 @pytest.mark.parametrize("name", sorted(VARIANTS))
@@ -69,3 +77,17 @@ def test_static_digests_agree_with_the_benchmark():
     assert len(files) == 6
     for name, digest in files.items():
         assert DIGESTS[name] == digest, name
+
+
+def test_compare_digests(corpus_args, tmp_path, capsys):
+    runs, out = tmp_path / "runs", tmp_path / "cmp"
+    for method in ("bl", "dha"):
+        assert main(["run", "--method", method, "--years", YEARS, *corpus_args,
+                     "--out", str(runs)]) == 0
+    links = corpus_args[corpus_args.index("--links") + 1]
+    assert main(["compare", str(runs / "dha.jsonl"), str(runs / "bl.jsonl"), "--links", links,
+                 *COMPARE_ARGS, "--out", str(out)]) == 0
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == sorted(COMPARE_FILES)
+    for name in COMPARE_FILES:
+        assert hashlib.sha256((out / name).read_bytes()).hexdigest() == DIGESTS[f"compare/{name}"], name
