@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import tempfile
@@ -59,10 +60,6 @@ def _parse_years(text: str) -> tuple[int, int]:
         raise UsageError(f"--years must look like FROM:TO, got {text!r}") from None
 
 
-def _sig6(value: float) -> float:
-    return float(f"{value:.6g}")
-
-
 def _out_dir(text: str) -> Path:
     out_dir = Path(text)
     try:
@@ -88,21 +85,26 @@ def _atomic_write(path: Path, text: str) -> None:
 
 
 def _snapshot_lines(snapshots: dict[int, dict[str, dict[str, float]]]) -> str:
+    """One compact JSON record per (year, author), sorted by both, values cut to six
+    significant digits; the bytes ``json.dumps`` would give, built by hand."""
+    quote = json.encoder.encode_basestring_ascii
     lines = []
     for year in sorted(snapshots):
-        for author in sorted(snapshots[year]):
-            profile = snapshots[year][author]
-            record = {
-                "year": year,
-                "author": author,
-                "expertise": {c: _sig6(v) for c, v in sorted(profile.items())},
-            }
-            lines.append(json.dumps(record, sort_keys=False, separators=(",", ":")))
+        per_author = snapshots[year]
+        head = f'{{"year":{year},"author":'
+        for author in sorted(per_author):
+            cells = ",".join([
+                f"{quote(c)}:{float(f'{v:.6g}')!r}" for c, v in sorted(per_author[author].items())
+            ])
+            lines.append(f'{head}{quote(author)},"expertise":{{{cells}}}}}')
     return "\n".join(lines) + "\n" if lines else ""
 
 
 def _read_snapshots(path: Path) -> dict[int, dict[str, dict[str, float]]]:
+    """Snapshot records, which must come in strictly increasing (year, author)
+    order with finite, non-negative values."""
     snapshots: dict[int, dict[str, dict[str, float]]] = {}
+    last = None
     text = read_utf8(path)
     for line_no, line in enumerate(text.splitlines(), start=1):
         if not line.strip():
@@ -112,9 +114,20 @@ def _read_snapshots(path: Path) -> dict[int, dict[str, dict[str, float]]]:
             year = int(record["year"])
             author = record["author"]
             expertise = {str(c): float(v) for c, v in record["expertise"].items()}
+            key = (year, author)
+            ordered = last is None or key > last
         except (KeyError, TypeError, ValueError, json.JSONDecodeError):
             raise DataFormatError(path, line_no, "malformed snapshot record") from None
+        if not ordered:
+            problem = "repeated" if key == last else "out of order: after " + repr(last)
+            raise DataFormatError(path, line_no, f"record {key!r} is {problem}")
+        for category, value in expertise.items():
+            if not 0.0 <= value < math.inf:
+                raise DataFormatError(
+                    path, line_no, f"value {value!r} of {category!r} is not finite and non-negative"
+                )
         snapshots.setdefault(year, {})[author] = expertise
+        last = key
     return snapshots
 
 
@@ -177,7 +190,7 @@ def cmd_run(args) -> int:
     config.validate()
     out_dir = _out_dir(args.out)
     dataset = load_dataset(args.links, args.mesh, args.taxonomy)
-    require_categories(dataset, args.links)
+    require_categories(dataset, args.links, args.taxonomy)
 
     if config.method in dynamic.DYNAMIC_METHODS:
         store, _ = dynamic.run_series(
@@ -246,16 +259,19 @@ def cmd_compare(args) -> int:
 
     counts = _paper_counts_by_year(read_link_file(args.links), years)
 
-    by_method = {label_a: snaps_a, label_b: snaps_b}
-    rows = metrics.yearly_summary(by_method, counts, years, threshold=args.min_papers)
+    measures = {
+        label: {
+            year: metrics.measure_values(snaps.get(year, {}), counts.get(year, {}), args.min_papers)
+            for year in years
+        }
+        for label, snaps in ((label_a, snaps_a), (label_b, snaps_b))
+    }
+    rows = metrics.yearly_summary(measures, years)
     summary = metrics.format_summary_table(rows, (label_a, label_b))
     _atomic_write(out_dir / "summary.tsv", summary)
 
-    for label, snaps in by_method.items():
-        for year in years:
-            _, _, prod_values = metrics.measure_values(
-                snaps.get(year, {}), counts.get(year, {}), args.min_papers
-            )
+    for label, per_year in measures.items():
+        for year, (_, _, prod_values) in per_year.items():
             hist = metrics.histogram(prod_values)
             _atomic_write(out_dir / f"hist_{label}_{year}.tsv", metrics.format_histogram(hist))
     print(out_dir / "summary.tsv")

@@ -10,8 +10,10 @@ Two methods share the same ledger discipline:
   to the co-authors with matching experience.
 
 Both are counts over label sets: per-author paper sets and per-paper category
-sets. All of a year's papers are treated as simultaneous: the experience sets
-are frozen once per year, which makes results independent of processing order.
+sets, carried across years in one ``History`` that grows by each year's links.
+All of a year's papers are treated as simultaneous: each year is scored
+against the frozen pre-year sets and folded in afterwards, which makes results
+independent of processing order.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 
-from .ledger import PaperKey, Timeline, YearLedger, YearSets, categories_by_paper, materialize_year
+from .ledger import History, PaperKey, Timeline, YearLedger, YearSets, materialize_year
 from .similarity import _mass, _square_mass
 
 
@@ -33,7 +35,11 @@ class DhaInputError(ValueError):
 
 @dataclass
 class ExpertiseStore:
-    """Author -> category -> accumulated value, with a snapshot kept per year."""
+    """Author -> category -> accumulated value, with a snapshot kept per year.
+
+    A profile dict is replaced, never changed in place, once stored, so each
+    year's snapshot shares the profiles that the year left untouched.
+    """
 
     values: dict[str, dict[str, float]] = field(default_factory=dict)
     year: int | None = None
@@ -45,15 +51,17 @@ class ExpertiseStore:
 
     def apply_increments(self, year: int, increments: dict[str, dict[str, float]]) -> None:
         self.check_year(year)
+        values = self.values
         for author, per_category in increments.items():
-            profile = self.values.setdefault(author, {})
+            profile = dict(values.get(author, ()))
             for category, inc in per_category.items():
                 if inc < 0:
                     raise ValueError(f"negative increment {inc} for ({author}, {category})")
                 if inc:
                     profile[category] = profile.get(category, 0.0) + inc
+            values[author] = profile
         self.year = year
-        self.snapshots[year] = {a: dict(p) for a, p in self.values.items()}
+        self.snapshots[year] = dict(values)
 
     def profile(self, author: str, year: int | None = None) -> dict[str, float]:
         source = self.values if year is None else self.snapshots.get(year, {})
@@ -68,22 +76,15 @@ class DhaYearInput:
     """One year's label sets, with each update paper's mask sums cached."""
 
     sets: YearSets
-    _weights: dict | None = field(default=None, init=False, repr=False)
     _squares: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def from_ledger(cls, ledger: YearLedger) -> DhaYearInput:
-        sets = materialize_year(ledger)
-        missing = sorted(p for p in sets.authors_of if not sets.categories_of.get(p))
-        if missing:
-            raise DhaInputError(f"update paper {missing[0]!r} has no category link")
-        return cls(sets)
+        return cls(materialize_year(ledger))
 
     def weights(self, weighted: bool) -> dict | None:
         """Paper -> 1/|categories| when weighted, else None (every weight is 1)."""
-        if weighted and self._weights is None:
-            self._weights = {p: 1.0 / len(cats) for p, cats in self.sets.categories_of.items()}
-        return self._weights if weighted else None
+        return self.sets.weights if weighted else None
 
     def square_masses(self, paper: PaperKey, weighted: bool) -> dict[str, float]:
         """Σ_{S_p∩M_m} w² for each category m of the paper, where the mask S_p is
@@ -122,7 +123,7 @@ def dha_author_year(inp: DhaYearInput, a: str, weighted: bool = False) -> dict[s
     """Sum per-paper credit over all of the author's current-year papers."""
     increments: dict[str, float] = {}
     for p in sorted(inp.sets.update_of.get(a, ())):
-        for m in sorted(inp.sets.categories_of[p]):
+        for m in inp.sets.categories_of[p]:
             increments[m] = increments.get(m, 0.0) + dha_paper(inp, a, p, m, weighted)
     return dict(sorted(increments.items()))
 
@@ -130,9 +131,9 @@ def dha_author_year(inp: DhaYearInput, a: str, weighted: bool = False) -> dict[s
 def run_year_dha(
     store: ExpertiseStore, ledger: YearLedger, weighted: bool = False
 ) -> ExpertiseStore:
-    """Apply one year of dynamic allocation and fold the year into experience.
+    """Apply one year of dynamic allocation, then fold the year into the history.
 
-    Every author of the year is evaluated against the same frozen experience
+    Every author of the year is evaluated against the same frozen pre-year
     sets; increments are applied in a fixed order, so the outcome does not
     depend on link order.
     """
@@ -140,22 +141,21 @@ def run_year_dha(
     inp = DhaYearInput.from_ledger(ledger)
     increments = {a: dha_author_year(inp, a, weighted) for a in sorted(inp.sets.update_of)}
     store.apply_increments(ledger.year, increments)
+    ledger.fold()
     return store
 
 
 def run_year_bl(store: ExpertiseStore, ledger: YearLedger) -> ExpertiseStore:
     """Apply one year of cumulative counting: +1 per (author, paper, category)."""
     store.check_year(ledger.year)
-    ledger.validate()
-    categories_of = categories_by_paper(ledger.paper_mesh_links)
+    categories_of = ledger.history.categories_of
     increments: dict[str, dict[str, float]] = {}
     for author, paper in ledger.update_links:
         profile = increments.setdefault(author, {})
-        for category in categories_of.get(paper, []):
+        for category in categories_of[paper]:
             profile[category] = profile.get(category, 0.0) + 1.0
     store.apply_increments(ledger.year, increments)
-    ledger.experience_links = ledger.experience_links + ledger.update_links
-    ledger.update_links = []
+    ledger.fold()
     return store
 
 
@@ -183,17 +183,13 @@ def run_series(
     stop = last_year if last_year is not None else data_years[-1]
 
     store = ExpertiseStore()
-    experience: list[tuple[str, PaperKey]] = []
-    papers_seen: dict[str, set[PaperKey]] = {}
+    history = History()
     counts_by_year: dict[int, dict[str, int]] = {}
     for year in range(start, stop + 1):
-        ledger = timeline.ledger_for(year, experience)
+        ledger = timeline.ledger_for(year, history)
         if method == "dha":
             run_year_dha(store, ledger, weighted=weighted)
         else:
             run_year_bl(store, ledger)
-        experience = ledger.experience_links
-        for author, paper in timeline.links_by_year.get(year, []):
-            papers_seen.setdefault(author, set()).add(paper)
-        counts_by_year[year] = {a: len(ps) for a, ps in papers_seen.items()}
+        counts_by_year[year] = {a: len(ps) for a, ps in history.papers_of.items()}
     return store, counts_by_year

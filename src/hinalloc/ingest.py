@@ -95,15 +95,16 @@ class Dataset:
 
     timeline: Timeline
     manifest: dict = field(default_factory=dict)
+    taxonomy_errors: list[tuple[int, str]] = field(default_factory=list)  # (line, message)
 
 
 def load_dataset(links_path, mesh_path, taxonomy_path) -> Dataset:
     """Parse and cross-validate the three inputs.
 
     Papers whose unique IDs have no taxonomy entry (or that have no category
-    row at all) are kept and listed in the manifest (``require_categories``
-    rejects them); a category row naming a paper absent from the link list is
-    an error.
+    row at all), and taxonomy lines that fail to parse, are kept out of the
+    data and listed in the manifest (``require_categories`` rejects them); a
+    category row naming a paper absent from the link list is an error.
     """
     links = read_link_file(links_path)
     mesh_records = read_paper_mesh_file(mesh_path)
@@ -148,11 +149,15 @@ def load_dataset(links_path, mesh_path, taxonomy_path) -> Dataset:
         "papers_without_categories": papers_without_categories,
         "taxonomy_errors": [f"line {n}: {msg}" for n, msg in taxonomy.errors],
     }
-    return Dataset(Timeline(links_by_year, mesh_by_paper), manifest)
+    return Dataset(Timeline(links_by_year, mesh_by_paper), manifest, taxonomy.errors)
 
 
-def require_categories(dataset: Dataset, links_path) -> None:
-    """A paper with no category after taxonomy mapping is an error at its first link line."""
+def require_categories(dataset: Dataset, links_path, taxonomy_path) -> None:
+    """A taxonomy line that failed to parse is an error at that line; then a paper
+    with no category after taxonomy mapping is an error at its first link line."""
+    if dataset.taxonomy_errors:
+        line_no, message = dataset.taxonomy_errors[0]
+        raise DataFormatError(taxonomy_path, line_no, message)
     missing = set(dataset.manifest["papers_without_categories"])
     if not missing:
         return

@@ -1,11 +1,12 @@
-"""Yearly link ledger and its grouping into label sets.
+"""The yearly state of a multi-year run, grown by each year's links.
 
 A paper's identity is the pair (label, year): publication lists reuse labels
-across years, and each year's batch is a fresh set of paper nodes. The ledger
-splits author-paper links into the cumulative pre-year list and the current
-year's list; materializing a year groups both lists into per-author paper sets,
-per-paper author sets and per-paper categories, then folds the current year
-into the cumulative list.
+across years, and each year's batch is a fresh set of paper nodes. The state
+(``History``) holds per-author paper sets of every year folded so far, plus
+each paper's sorted categories and weight, read once when the paper's year
+arrives. A year's ledger pairs the state with the year's links; materializing
+it groups only those links, so a year costs in proportion to its new links.
+The year is scored against the frozen pre-year sets and folded in afterwards.
 """
 
 from __future__ import annotations
@@ -22,72 +23,51 @@ class LedgerError(ValueError):
 
 
 @dataclass
-class YearLedger:
-    """Cumulative pre-year links, the current year's links, and paper categories.
+class History:
+    """Per-author paper sets of the folded years; categories and weights of every
+    paper registered so far, the current year's included."""
 
-    ``paper_mesh_links`` carries (paper, category, weight) for every paper that
-    appears in either link list.
-    """
+    papers_of: dict[str, set[PaperKey]] = field(default_factory=dict)
+    categories_of: dict[PaperKey, tuple[str, ...]] = field(default_factory=dict)  # sorted, distinct
+    weights: dict[PaperKey, float] = field(default_factory=dict)  # 1 / number of categories
+
+
+@dataclass
+class YearLedger:
+    """One year's links over the history of the years before it."""
 
     year: int
-    experience_links: list[tuple[str, PaperKey]] = field(default_factory=list)
+    history: History
     update_links: list[tuple[str, PaperKey]] = field(default_factory=list)
-    paper_mesh_links: list[tuple[PaperKey, str, float]] = field(default_factory=list)
 
-    def validate(self) -> None:
-        exp = set(self.experience_links)
-        upd = set(self.update_links)
-        overlap = exp & upd
-        if overlap:
-            raise LedgerError(f"experience and update lists share links: {sorted(overlap)[:3]}")
-        if self.paper_mesh_links:
-            covered = {p for p, _, _ in self.paper_mesh_links}
-            missing = {p for _, p in self.experience_links if p not in covered}
-            missing |= {p for _, p in self.update_links if p not in covered}
-            if missing:
-                raise LedgerError(f"papers without any category link: {sorted(missing)[:3]}")
+    def fold(self) -> None:
+        """Add the year's links to the history's paper sets; call once the year is scored."""
+        papers_of = self.history.papers_of
+        for a, p in self.update_links:
+            papers_of.setdefault(a, set()).add(p)
+        self.update_links = []
 
 
 @dataclass
 class YearSets:
-    """One year's links grouped by label."""
+    """One year's links grouped by label, over the frozen pre-year history."""
 
     papers_of: dict[str, set[PaperKey]]  # author -> papers of all years strictly before
     update_of: dict[str, set[PaperKey]]  # author -> papers of the current year
     authors_of: dict[PaperKey, set[str]]  # current-year paper -> authors
-    categories_of: dict[PaperKey, list[str]]  # paper of either list -> distinct categories
-
-
-def categories_by_paper(paper_mesh_links) -> dict[PaperKey, list[str]]:
-    """Paper -> its distinct categories in link order, from (paper, category,
-    weight) links; weights are ignored."""
-    categories_of: dict[PaperKey, list[str]] = {}
-    for p, m, _ in paper_mesh_links:
-        cats = categories_of.setdefault(p, [])
-        if m not in cats:
-            cats.append(m)
-    return categories_of
+    categories_of: dict[PaperKey, tuple[str, ...]]  # paper -> sorted distinct categories
+    weights: dict[PaperKey, float]  # paper -> 1 / number of categories
 
 
 def materialize_year(ledger: YearLedger) -> YearSets:
-    """Group the ledger into label sets, then fold the update list into experience.
-
-    After the call the ledger's experience list is the union of the two lists
-    and the update list is cleared.
-    """
-    ledger.validate()
-    papers_of: dict[str, set[PaperKey]] = {}
-    for a, p in ledger.experience_links:
-        papers_of.setdefault(a, set()).add(p)
+    """Group the year's links by label; the history's sets are shared, not copied."""
     update_of: dict[str, set[PaperKey]] = {}
     authors_of: dict[PaperKey, set[str]] = {}
     for a, p in ledger.update_links:
         update_of.setdefault(a, set()).add(p)
         authors_of.setdefault(p, set()).add(a)
-    sets = YearSets(papers_of, update_of, authors_of, categories_by_paper(ledger.paper_mesh_links))
-    ledger.experience_links = ledger.experience_links + ledger.update_links
-    ledger.update_links = []
-    return sets
+    history = ledger.history
+    return YearSets(history.papers_of, update_of, authors_of, history.categories_of, history.weights)
 
 
 @dataclass
@@ -100,12 +80,20 @@ class Timeline:
     def years(self) -> list[int]:
         return sorted(self.links_by_year)
 
-    def ledger_for(self, year: int, experience: list[tuple[str, PaperKey]]) -> YearLedger:
+    def ledger_for(self, year: int, history: History) -> YearLedger:
+        """The year's ledger over ``history``, whose category table gains the year's papers.
+
+        A paper with no category, or one that an earlier year already brought,
+        is a ``LedgerError``.
+        """
         update = self.links_by_year.get(year, [])
-        papers = {p for _, p in experience} | {p for _, p in update}
-        mesh_links = [
-            (p, m, w)
-            for p in sorted(papers)
-            for m, w in sorted(self.mesh_by_paper.get(p, {}).items())
-        ]
-        return YearLedger(year, list(experience), list(update), mesh_links)
+        categories_of, weights = history.categories_of, history.weights
+        for p in dict.fromkeys(p for _, p in update):
+            if p in categories_of:
+                raise LedgerError(f"paper {p!r} of year {year} already appeared in an earlier year")
+            cats = self.mesh_by_paper.get(p)
+            if not cats:
+                raise LedgerError(f"paper {p!r} has no category link")
+            categories_of[p] = tuple(sorted(cats))
+            weights[p] = 1.0 / len(cats)
+        return YearLedger(year, history, list(update))

@@ -1,9 +1,11 @@
 """Profile statistics and method-comparison summaries.
 
 Three per-author measures drive the comparison: the ratio between the largest
-and smallest nonzero expertise values, the largest value divided by the
+and smallest positive expertise values, the largest value divided by the
 profile's Euclidean norm, and the latter restricted to productive authors
-(strictly more than a paper-count threshold).
+(strictly more than a paper-count threshold). All three come from one pass
+over a snapshot, once per (method, year), and feed both the summary table and
+the histograms.
 """
 
 from __future__ import annotations
@@ -18,23 +20,26 @@ DEFAULT_BIN_WIDTH = 0.05
 
 
 class EmptyProfileError(ValueError):
-    """A measure was asked of a profile with no nonzero entry."""
+    """A measure was asked of a profile with no positive entry."""
+
+
+def profile_measures(profile: Mapping[str, float]) -> tuple[float, float]:
+    """Max-min ratio and normalized max of a profile, over its positive values."""
+    values = [v for v in profile.values() if v > 0]
+    if not values:
+        raise EmptyProfileError("profile has no positive entry")
+    top = max(values)
+    return top / min(values), top / math.sqrt(sum(v * v for v in values))
 
 
 def max_min_ratio(profile: Mapping[str, float]) -> float:
-    """Largest over smallest nonzero value; zero entries are ignored."""
-    nonzero = [v for v in profile.values() if v > 0]
-    if not nonzero:
-        raise EmptyProfileError("profile has no nonzero entry")
-    return max(nonzero) / min(nonzero)
+    """Largest over smallest positive value."""
+    return profile_measures(profile)[0]
 
 
 def normalized_max(profile: Mapping[str, float]) -> float:
-    """Largest value divided by the Euclidean norm of the profile vector."""
-    values = [v for v in profile.values() if v]
-    if not values:
-        raise EmptyProfileError("profile has no nonzero entry")
-    return max(values) / math.sqrt(sum(v * v for v in values))
+    """Largest value divided by the Euclidean norm of the positive values."""
+    return profile_measures(profile)[1]
 
 
 def productive_filter(
@@ -66,31 +71,42 @@ def _mean_std(values: Sequence[float]) -> tuple[float, float]:
     return fmean(values), pstdev(values)
 
 
+# per-author values of the three measures over one snapshot
+Measures = tuple[list[float], list[float], list[float]]
+
+
 def measure_values(
     snapshot: Mapping[str, Mapping[str, float]],
     paper_counts: Mapping[str, int],
     threshold: int = DEFAULT_PRODUCTIVE_THRESHOLD,
-) -> tuple[list[float], list[float], list[float]]:
-    """Per-author values of the three measures over one snapshot."""
-    authors = sorted(a for a, profile in snapshot.items() if any(v > 0 for v in profile.values()))
-    ratios = [max_min_ratio(snapshot[a]) for a in authors]
-    nmaxes = [normalized_max(snapshot[a]) for a in authors]
+) -> Measures:
+    """Ratios, normalized maxima, and the latter for productive authors only, in
+    one pass over the snapshot's authors in sorted order."""
+    ratios: list[float] = []
+    nmaxes: list[float] = []
+    prod_nmaxes: list[float] = []
     productive = productive_filter(snapshot, paper_counts, threshold)
-    prod_nmaxes = [normalized_max(snapshot[a]) for a in authors if a in productive]
+    for author in sorted(snapshot):
+        try:
+            ratio, nmax = profile_measures(snapshot[author])
+        except EmptyProfileError:
+            continue
+        ratios.append(ratio)
+        nmaxes.append(nmax)
+        if author in productive:
+            prod_nmaxes.append(nmax)
     return ratios, nmaxes, prod_nmaxes
 
 
 def yearly_summary(
-    snapshots_by_method: Mapping[str, Mapping[int, Mapping[str, Mapping[str, float]]]],
-    paper_counts_by_year: Mapping[int, Mapping[str, int]],
+    measures_by_method: Mapping[str, Mapping[int, Measures]],
     years: Sequence[int],
-    threshold: int = DEFAULT_PRODUCTIVE_THRESHOLD,
 ) -> list[YearSummary]:
+    """One row per (year, method) from each method's per-year measures."""
     rows = []
     for year in years:
-        for method, snapshots in snapshots_by_method.items():
-            counts = paper_counts_by_year.get(year, {})
-            ratios, nmaxes, prod = measure_values(snapshots.get(year, {}), counts, threshold)
+        for method, measures in measures_by_method.items():
+            ratios, nmaxes, prod = measures[year]
             rows.append(YearSummary(year, method, *_mean_std(ratios), *_mean_std(nmaxes), *_mean_std(prod)))
     return rows
 

@@ -95,6 +95,18 @@ def test_ingest_lists_unmapped_unique_ids(tmp_path):
     assert manifest["papers_without_categories"] == ["P2"]
 
 
+def test_ingest_lists_taxonomy_errors(corpus, tmp_path, capsys):
+    taxonomy = tmp_path / "taxonomy.tsv"
+    taxonomy.write_text(Path(corpus["taxonomy"]).read_text() + "D000004\nD000005\tA1B\n")
+    rc = main(["ingest", *_args(dict(corpus, taxonomy=str(taxonomy))), "--out", str(tmp_path / "out")])
+    assert rc == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text())
+    assert manifest["taxonomy_errors"] == [
+        "line 4: expected 2 tab-separated fields, got 1",
+        "line 5: malformed tree ID 'A1B'",
+    ]
+
+
 def test_run_bl_matches_reference(corpus, tmp_path):
     out = tmp_path / "out"
     rc = main(["run", "--method", "bl", "--years", "1:10", *_args(corpus), "--out", str(out)])
@@ -224,12 +236,14 @@ METHOD_ARGS = {
 
 # one bad input per row: (file to change, text appended to it, line of the
 # error, text the message names); the illustrative links file has one comment
-# line and 90 links
+# line and 90 links, its taxonomy file three lines
 BAD_INPUTS = {
     "repeated_link": ("links", "1\tA1\tP1\n", 92, "repeated link 1 A1 P1"),
     "paper_without_category_row": ("links", "10\tA2\tPX\n", 92, "'PX'"),
     "category_id_outside_taxonomy": ("links", "10\tA2\tPY\n", 92, "'PY'"),
     "non_integer_year": ("links", "ten\tA2\tP1\n", 92, "'ten'"),
+    "taxonomy_line_with_one_field": ("taxonomy", "D000004\n", 4, "got 1"),
+    "malformed_tree_id": ("taxonomy", "D000004\tA1B\n", 4, "malformed tree ID 'A1B'"),
 }
 
 
@@ -282,6 +296,34 @@ def test_compare_identical_snapshots(corpus, tmp_path, capsys):
         assert cells[2] == cells[3]
         assert cells[4] == cells[5]
     assert (cmp_dir / "hist_bl_a_10.tsv").exists()
+
+
+_RECORD = '{{"year":1,"author":"{}","expertise":{{"M01":{}}}}}'
+
+# one bad snapshot file per row: (its lines, line of the error, text the
+# message names)
+BAD_SNAPSHOTS = {
+    "nan_value": ([_RECORD.format("A1", 1.0), _RECORD.format("A2", "NaN")], 2, "value nan of 'M01'"),
+    "infinite_value": ([_RECORD.format("A1", "Infinity")], 1, "value inf of 'M01'"),
+    "negative_value": ([_RECORD.format("A1", 1.0), _RECORD.format("A2", -0.5)], 2, "value -0.5 of 'M01'"),
+    "repeated_record": ([_RECORD.format("A1", 1.0), _RECORD.format("A1", 2.0)], 2, "repeated"),
+    "out_of_order_record": ([_RECORD.format("A2", 1.0), _RECORD.format("A1", 1.0)], 2, "out of order"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_SNAPSHOTS))
+def test_bad_snapshot_record_is_a_data_error_at_its_line(case, corpus, tmp_path, capsys):
+    lines, line_no, named = BAD_SNAPSHOTS[case]
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text("\n".join(lines) + "\n")
+    good = tmp_path / "good.jsonl"
+    good.write_text(_RECORD.format("A1", 1.0) + "\n")
+    cmp_dir = tmp_path / "cmp"
+    rc = main(["compare", str(good), str(bad), "--links", corpus["links"], "--out", str(cmp_dir)])
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert f"{bad}:{line_no}: " in err and named in err
+    assert list(cmp_dir.glob("*")) == []
 
 
 def test_compare_disjoint_year_ranges(corpus, tmp_path, capsys):

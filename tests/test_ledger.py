@@ -1,6 +1,6 @@
 import pytest
 
-from hinalloc.ledger import LedgerError, YearLedger, materialize_year
+from hinalloc.ledger import History, LedgerError, Timeline, materialize_year
 
 from fixtures import illustrative_publications, illustrative_timeline
 from matrix_reference import build_incidence
@@ -59,22 +59,23 @@ def test_build_incidence_round_trip():
 
 
 def test_materialize_first_year():
-    ledger = illustrative_timeline().ledger_for(1, [])
+    history = History()
+    ledger = illustrative_timeline().ledger_for(1, history)
     sets = materialize_year(ledger)
     assert sets.papers_of == {}
     assert _links(sets.update_of) == set(_year_links(1))
     assert {(a, p) for p, a in _links(sets.authors_of)} == set(_year_links(1))
     assert set(sets.categories_of) == {p for _, p in _year_links(1)}
+    ledger.fold()
     assert ledger.update_links == []
-    assert len(ledger.experience_links) == 6
+    assert _links(history.papers_of) == set(_year_links(1))
 
 
 def test_materialize_second_year_disjoint_paper_spaces():
     timeline = illustrative_timeline()
-    ledger = timeline.ledger_for(1, [])
-    materialize_year(ledger)
-    ledger2 = timeline.ledger_for(2, ledger.experience_links)
-    sets = materialize_year(ledger2)
+    history = History()
+    timeline.ledger_for(1, history).fold()
+    sets = materialize_year(timeline.ledger_for(2, history))
     assert _links(sets.papers_of) == set(_year_links(1))
     assert _links(sets.update_of) == set(_year_links(2))
     exp_papers = {p for _, p in _links(sets.papers_of)}
@@ -83,53 +84,64 @@ def test_materialize_second_year_disjoint_paper_spaces():
     assert set(sets.categories_of) == exp_papers | upd_papers
 
 
+def test_materialize_shares_the_history_instead_of_copying_it():
+    timeline = illustrative_timeline()
+    history = History()
+    timeline.ledger_for(1, history).fold()
+    sets = materialize_year(timeline.ledger_for(2, history))
+    assert sets.papers_of is history.papers_of
+    assert sets.categories_of is history.categories_of
+    assert sets.weights is history.weights
+
+
+def test_history_keeps_sorted_categories_and_weights():
+    timeline = Timeline({1: [("A1", ("P1", 1))]}, {("P1", 1): {"M02": 1.0, "M01": 1.0}})
+    history = History()
+    timeline.ledger_for(1, history)
+    assert history.categories_of == {("P1", 1): ("M01", "M02")}
+    assert history.weights == {("P1", 1): 0.5}
+
+
 def test_materialize_empty_year():
     timeline = illustrative_timeline()
-    ledger = timeline.ledger_for(1, [])
-    materialize_year(ledger)
-    empty = timeline.ledger_for(99, ledger.experience_links)
-    sets = materialize_year(empty)
+    history = History()
+    timeline.ledger_for(1, history).fold()
+    sets = materialize_year(timeline.ledger_for(99, history))
     assert sets.update_of == {} and sets.authors_of == {}
     assert _links(sets.papers_of) == set(_year_links(1))
 
 
-def test_materialize_is_associative_over_years():
+def test_folding_is_associative_over_years():
     timeline = illustrative_timeline()
-    experience = []
+    history = History()
     for year in range(1, 6):
-        ledger = timeline.ledger_for(year, experience)
-        materialize_year(ledger)
-        experience = ledger.experience_links
+        timeline.ledger_for(year, history).fold()
 
     merged = [link for year in range(1, 6) for link in _year_links(year)]
-    all_at_once = YearLedger(6, [], merged, timeline.ledger_for(6, merged).paper_mesh_links)
-    sets = materialize_year(all_at_once)
-    assert set(experience) == set(all_at_once.experience_links)
-    assert _links(sets.update_of) == set(merged)
+    at_once = History()
+    Timeline({6: merged}, timeline.mesh_by_paper).ledger_for(6, at_once).fold()
+    assert history == at_once
 
 
-def test_ledger_rejects_overlapping_lists():
+def test_paper_of_an_earlier_year_rejected():
     link = ("A1", ("P1", 1))
-    ledger = YearLedger(1, [link], [link], [(("P1", 1), "M01", 1.0)])
+    timeline = Timeline({1: [link], 2: [link]}, {("P1", 1): {"M01": 1.0}})
+    history = History()
+    timeline.ledger_for(1, history).fold()
     with pytest.raises(LedgerError):
-        ledger.validate()
+        timeline.ledger_for(2, history)
 
 
 def test_ledger_requires_mesh_for_every_paper():
-    ledger = YearLedger(
-        1,
-        [],
-        [("A1", ("P1", 1)), ("A1", ("P2", 1))],
-        [(("P1", 1), "M01", 1.0)],
-    )
+    timeline = Timeline({1: [("A1", ("P1", 1)), ("A1", ("P2", 1))]}, {("P1", 1): {"M01": 1.0}})
     with pytest.raises(LedgerError):
-        ledger.validate()
+        timeline.ledger_for(1, History())
 
 
 def test_first_year_counts_equal_count_matrix():
     # per author, the first year's papers counted per category give the
     # year-one count matrix
-    sets = materialize_year(illustrative_timeline().ledger_for(1, []))
+    sets = materialize_year(illustrative_timeline().ledger_for(1, History()))
     got = {}
     for a, papers in sets.update_of.items():
         for p in papers:

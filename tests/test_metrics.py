@@ -53,8 +53,8 @@ def test_productive_filter_strict_threshold():
 
 
 def test_yearly_summary_identical_stores():
-    snap = {1: {"a": {"m1": 2.0, "m2": 1.0}}}
-    rows = yearly_summary({"x": snap, "y": snap}, {1: {"a": 5}}, [1], threshold=1)
+    measures = {1: measure_values({"a": {"m1": 2.0, "m2": 1.0}}, {"a": 5}, threshold=1)}
+    rows = yearly_summary({"x": measures, "y": measures}, [1])
     assert len(rows) == 2
     x, y = rows
     assert (x.ratio_mean, x.nmax_mean, x.prod_nmax_mean) == (y.ratio_mean, y.nmax_mean, y.prod_nmax_mean)
@@ -69,10 +69,13 @@ def test_yearly_summary_on_fixture_ledger():
     timeline = illustrative_timeline()
     dha_store, counts = run_series("dha", timeline)
     bl_store, _ = run_series("bl", illustrative_timeline())
+    years = list(range(1, 11))
     rows = yearly_summary(
-        {"dha": dha_store.snapshots, "bl": bl_store.snapshots},
-        counts,
-        list(range(1, 11)),
+        {
+            method: {year: measure_values(store.snapshot(year), counts[year]) for year in years}
+            for method, store in (("dha", dha_store), ("bl", bl_store))
+        },
+        years,
     )
     assert len(rows) == 20  # 10 years x 2 methods
     at_ten = {r.method: r for r in rows if r.year == 10}
