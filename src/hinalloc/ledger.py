@@ -38,7 +38,7 @@ class YearLedger:
 
     year: int
     history: History
-    update_links: list[tuple[str, PaperKey]] = field(default_factory=list)
+    update_links: list[tuple[str, PaperKey]]
 
     def fold(self) -> None:
         """Add the year's links to the history's paper sets; call once the year is scored."""
